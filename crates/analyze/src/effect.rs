@@ -20,7 +20,7 @@
 //! reports exactly which pair of concurrent shards would alias.
 //!
 //! Within a shard, group disjointness (the `AmpCell` argument in
-//! `atlas_statevec::parallel`) requires the op's qubit list to be
+//! `atlas_statevec::apply`) requires the op's qubit list to be
 //! duplicate-free: distinct groups then differ in a non-gate bit and can
 //! never collide. [`effect_of`] checks that too.
 

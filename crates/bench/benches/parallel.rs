@@ -4,7 +4,8 @@
 //! Two layers are measured, each at 1 thread vs 8 threads:
 //!
 //! * **kernel** — a dense 5-qubit fused unitary applied to a 24-qubit
-//!   amplitude array via `apply_matrix_parallel` (the intra-shard path);
+//!   amplitude array via `apply_matrix_with` with its groups split over
+//!   a worker pool started for the call (the intra-shard path);
 //! * **end-to-end** — a functional `simulate` of QAOA-24 on a 2×2-GPU
 //!   shape (8 shards), exercising the shard-parallel engine, the
 //!   `FastKernel` classification and the all-to-all barriers.
@@ -20,7 +21,8 @@ use atlas_core::config::AtlasConfig;
 use atlas_core::simulate::simulate;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_qmath::Complex64;
-use atlas_statevec::{apply_gate, apply_matrix_parallel, fuse_gates, StateVector};
+use atlas_qmath::Matrix;
+use atlas_statevec::{apply_gate, apply_matrix_with, fuse_gates, scratch, with_pool, StateVector};
 use criterion::{criterion_group, Criterion};
 use std::time::Instant;
 
@@ -39,7 +41,7 @@ fn dense_state() -> StateVector {
     sv
 }
 
-fn fused_k5() -> (Vec<u32>, atlas_qmath::Matrix) {
+fn fused_k5() -> (Vec<u32>, Matrix) {
     let qubits: Vec<u32> = (0..5).map(|i| i * 3 + 1).collect();
     let mut kc = Circuit::new(N);
     for (i, &q) in qubits.iter().enumerate() {
@@ -49,6 +51,14 @@ fn fused_k5() -> (Vec<u32>, atlas_qmath::Matrix) {
         }
     }
     (qubits.clone(), fuse_gates(&qubits, kc.gates()))
+}
+
+/// One dense kernel apply with its groups split over a `threads`-worker
+/// pool started for the call.
+fn apply_split(sv: &mut StateVector, qubits: &[u32], m: &Matrix, threads: usize) {
+    with_pool(threads, |pool| {
+        scratch::with_thread(|s| apply_matrix_with(s, sv.amplitudes_mut(), qubits, m, pool))
+    });
 }
 
 fn simulate_qaoa24(threads: usize) {
@@ -77,7 +87,7 @@ fn bench_parallel(c: &mut Criterion) {
         g.bench_function(format!("fused_k5_24q_t{threads}"), |b| {
             b.iter_batched_ref(
                 || base.clone(),
-                |sv| apply_matrix_parallel(sv.amplitudes_mut(), &qubits, &fused, threads),
+                |sv| apply_split(sv, &qubits, &fused, threads),
                 criterion::BatchSize::LargeInput,
             )
         });
@@ -102,12 +112,8 @@ fn emit_json() {
     // Kernel-level: dense k=5 fused apply over 2^24 amplitudes.
     let (qubits, fused) = fused_k5();
     let mut sv = dense_state();
-    let kernel_t1 = best_of(3, || {
-        apply_matrix_parallel(sv.amplitudes_mut(), &qubits, &fused, 1)
-    });
-    let kernel_t8 = best_of(3, || {
-        apply_matrix_parallel(sv.amplitudes_mut(), &qubits, &fused, 8)
-    });
+    let kernel_t1 = best_of(3, || apply_split(&mut sv, &qubits, &fused, 1));
+    let kernel_t8 = best_of(3, || apply_split(&mut sv, &qubits, &fused, 8));
     drop(sv);
 
     // End-to-end: functional QAOA-24 across 8 shards.

@@ -399,9 +399,10 @@ pub fn execute_with(
             execute_on(machine, Some(circuit), plan, cfg, pool, should_stop)
         })
     } else {
-        // Fewer shards than threads (or serial): no workers to park —
-        // shards run inline and each kernel spends the budget on
-        // intra-shard group parallelism instead.
+        // Fewer shards than threads (or serial): no workers to park
+        // between stages — shards run inline, and each stage's
+        // `run_shard_programs` starts workers once to split every
+        // kernel's groups across them.
         execute_on(
             machine,
             Some(circuit),

@@ -7,7 +7,8 @@ use crate::traffic::traffic_matrix;
 use atlas_circuit::Gate;
 use atlas_qmath::{Complex64, IndexPermuter, Matrix, QubitPermutation};
 use atlas_statevec::{
-    apply_batched, apply_matrix, measure, scratch, FastKernel, Pool, Scratch, StateVector,
+    apply_batched, apply_kernel_with, apply_matrix, apply_reduced_with, apply_scale, measure,
+    scratch, FastKernel, Pool, Scratch, StateVector,
 };
 use atlas_telemetry::{secs_to_ns, Recorder};
 use std::cell::UnsafeCell;
@@ -361,15 +362,17 @@ impl Machine {
     /// (identical regardless of thread count); the functional amplitude
     /// work then runs on `pool`:
     ///
-    /// * shards ≥ pool threads — one worker per shard, every simulated
-    ///   GPU's kernels genuinely concurrent;
-    /// * shards < pool threads — shards run in sequence, and each kernel
-    ///   falls back to intra-shard parallelism over its index groups
-    ///   (`atlas_statevec::parallel`).
+    /// * shards ≥ pool threads — one pool item per shard, every simulated
+    ///   GPU's kernels genuinely concurrent, each kernel whole on its
+    ///   worker;
+    /// * shards < pool threads — shards run in sequence on the caller,
+    ///   and each kernel splits its group range into pool items
+    ///   ([`Pool::with_workers`] starts the workers at most once per
+    ///   call when `pool` is [`Pool::inline`]).
     ///
-    /// Both schedules produce bit-identical amplitudes: every kernel's
-    /// parallel form performs the same floating-point operations as its
-    /// serial form, only distributed differently.
+    /// Both schedules produce bit-identical amplitudes: each kernel has
+    /// one implementation, and a split only changes which thread computes
+    /// which of its independent groups.
     pub fn run_shard_programs(&mut self, programs: &[ShardProgram], pool: &Pool) {
         assert_eq!(programs.len(), self.num_shards());
         for (s, prog) in programs.iter().enumerate() {
@@ -405,30 +408,27 @@ impl Machine {
         // not pushed yet).
         let stage = self.steps.len() as u32;
         let shard_amps = self.shard_len() as u64;
-        // Fewer shards than workers: keep shards sequential and spend the
-        // threads inside each kernel instead.
-        let within = if num_shards < pool.threads() {
-            pool.threads()
-        } else {
-            1
-        };
-        if within > 1 {
+        if num_shards < pool.threads() {
+            // Fewer shards than workers: keep shards sequential and spend
+            // the threads inside each kernel instead.
             let rec = self.recorder.clone();
-            scratch::with_thread(|scr| {
-                for (s, prog) in programs.iter().enumerate() {
-                    let t = rec.start();
-                    run_program(&mut self.shards[s], prog, scr, within);
-                    rec.span(
-                        "kernel.apply",
-                        t,
-                        true,
-                        stage,
-                        s as u32,
-                        0,
-                        &[("ops", prog.len() as u64), ("amps", shard_amps)],
-                    );
-                    publish_scratch_counters(&rec, scr);
-                }
+            pool.with_workers(|pool| {
+                scratch::with_thread(|scr| {
+                    for (s, prog) in programs.iter().enumerate() {
+                        let t = rec.start();
+                        run_program(&mut self.shards[s], prog, scr, pool);
+                        rec.span(
+                            "kernel.apply",
+                            t,
+                            true,
+                            stage,
+                            s as u32,
+                            0,
+                            &[("ops", prog.len() as u64), ("amps", shard_amps)],
+                        );
+                        publish_scratch_counters(&rec, scr);
+                    }
+                })
             });
         } else {
             // Clone the handle out of `self` before the raw-pointer view
@@ -456,7 +456,7 @@ impl Machine {
                 // across stages, so the arenas stay warm for the whole
                 // EXECUTE and kernel execution allocates nothing.
                 scratch::with_thread(|scr| {
-                    run_program(amps, &programs[s], scr, 1);
+                    run_program(amps, &programs[s], scr, &Pool::SERIAL);
                     publish_scratch_counters(rec, scr);
                 });
                 rec.span(
@@ -483,9 +483,7 @@ impl Machine {
         }
         self.charge_scale(s);
         if !self.dry {
-            for a in &mut self.shards[s] {
-                *a *= factor;
-            }
+            apply_scale(&mut self.shards[s], factor, &Pool::SERIAL);
         }
     }
 
@@ -821,31 +819,36 @@ impl Machine {
     // every reduction runs on the sharded, still-permuted buffers — the
     // full 2^n vector is never materialized. Parallelism mirrors
     // `run_shard_programs`: one pool item per shard when shards cover the
-    // workers, intra-shard chunk parallelism otherwise, and results are
-    // combined in shard/chunk order so every value is bit-identical for
-    // every thread count (see `atlas_statevec::measure`).
+    // workers, the shard's fixed chunks as pool items otherwise, and
+    // results are combined in shard/chunk order so every value is
+    // bit-identical for every thread count (see
+    // `atlas_statevec::measure`).
 
-    /// Runs `f(shard, amps, within_threads)` over every shard on `pool`,
-    /// returning results in shard order.
+    /// Runs `f(shard, amps, pool)` over every shard, returning results in
+    /// shard order. `f` gets the pool to split its own work over: `pool`
+    /// itself (with workers) when there are fewer shards than threads,
+    /// the serial pool inside a per-shard item otherwise.
     fn map_shards<T: Send + Sync>(
         &self,
         pool: &Pool,
-        f: &(dyn Fn(usize, &[Complex64], usize) -> T + Sync),
+        f: &(dyn Fn(usize, &[Complex64], &Pool) -> T + Sync),
     ) -> Vec<T> {
         assert!(!self.dry, "measurement reductions need amplitudes");
         let num_shards = self.shards.len();
         if num_shards < pool.threads() {
             // Spend the thread budget inside each shard's reduction.
-            return (0..num_shards)
-                .map(|s| f(s, &self.shards[s], pool.threads()))
-                .collect();
+            return pool.with_workers(|pool| {
+                (0..num_shards)
+                    .map(|s| f(s, &self.shards[s], pool))
+                    .collect()
+            });
         }
         let slots: Vec<std::sync::OnceLock<T>> = (0..num_shards)
             .map(|_| std::sync::OnceLock::new())
             .collect();
         pool.run(num_shards, &|s| {
             slots[s]
-                .set(f(s, &self.shards[s], 1))
+                .set(f(s, &self.shards[s], &Pool::SERIAL))
                 .unwrap_or_else(|_| unreachable!("shard visited twice"));
         });
         slots
@@ -856,9 +859,7 @@ impl Machine {
 
     /// Per-shard probability masses `Σ|αᵢ|²`, in shard order.
     pub fn shard_norms(&self, pool: &Pool) -> Vec<f64> {
-        self.map_shards(pool, &|_, amps, t| {
-            measure::norm_sqr_slice_parallel(amps, t)
-        })
+        self.map_shards(pool, &|_, amps, pool| measure::norm_sqr_slice(amps, pool))
     }
 
     /// Total norm `Σ|αᵢ|²` over all shards (shard partials combined in
@@ -872,8 +873,8 @@ impl Machine {
     /// string of `Z`s on the physical bits of `sign_mask`.
     pub fn signed_norm_sum(&self, sign_mask: u64, pool: &Pool) -> f64 {
         let l = self.spec.local_qubits;
-        self.map_shards(pool, &|s, amps, t| {
-            measure::signed_norm_parallel(amps, (s as u64) << l, sign_mask, t)
+        self.map_shards(pool, &|s, amps, pool| {
+            measure::signed_norm(amps, (s as u64) << l, sign_mask, pool)
         })
         .iter()
         .sum()
@@ -889,17 +890,10 @@ impl Machine {
         let l = self.spec.local_qubits;
         let shard_len = self.shard_len();
         let shards = &self.shards;
-        self.map_shards(pool, &|s, amps, t| {
+        self.map_shards(pool, &|s, amps, pool| {
             let partner = &shards[s ^ (flip >> l) as usize];
             let local_flip = (flip as usize) & (shard_len - 1);
-            measure::signed_pair_sum_parallel(
-                amps,
-                partner,
-                local_flip,
-                (s as u64) << l,
-                sign_mask,
-                t,
-            )
+            measure::signed_pair_sum(amps, partner, local_flip, (s as u64) << l, sign_mask, pool)
         })
         .iter()
         .fold(Complex64::ZERO, |acc, &v| acc + v)
@@ -1148,27 +1142,27 @@ impl Machine {
     }
 }
 
-/// Applies one shard's program to its amplitude buffer with up to
-/// `threads` threads of intra-shard parallelism, reusing `scratch` for
-/// every kernel. Bit-identical for any `threads` value (see
-/// [`atlas_statevec::parallel`]).
-fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratch, threads: usize) {
+/// Applies one shard's program to its amplitude buffer, reusing
+/// `scratch` for every kernel and splitting each kernel's group range
+/// over `pool` when it is large enough. Bit-identical for every pool
+/// (see [`atlas_statevec::apply`]).
+fn run_program(amps: &mut [Complex64], prog: &ShardProgram, scratch: &mut Scratch, pool: &Pool) {
     for op in prog {
         match op {
             ShardOp::Fusion {
                 qubits,
                 kernel,
                 scale,
-            } => atlas_statevec::apply_kernel_with(scratch, amps, qubits, kernel, *scale, threads),
+            } => apply_kernel_with(scratch, amps, qubits, kernel, *scale, pool),
             ShardOp::ShmParts { parts, scale, .. } => {
                 for (qs, m) in parts.iter() {
-                    atlas_statevec::parallel::apply_reduced_with(scratch, amps, qs, m, threads);
+                    apply_reduced_with(scratch, amps, qs, m, pool);
                 }
                 if !scale.approx_eq(Complex64::ONE, 0.0) {
-                    atlas_statevec::parallel::scale_parallel(amps, *scale, threads);
+                    apply_scale(amps, *scale, pool);
                 }
             }
-            ShardOp::Scale(f) => atlas_statevec::parallel::scale_parallel(amps, *f, threads),
+            ShardOp::Scale(f) => apply_scale(amps, *f, pool),
         }
     }
 }

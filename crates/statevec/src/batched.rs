@@ -26,6 +26,7 @@ use crate::apply::{
     apply_1q, apply_1q_diag, apply_controlled_1q, apply_diag, apply_matrix_with, apply_swap,
     diagonal_of,
 };
+use crate::pool::Pool;
 use crate::scratch::{self, Scratch};
 
 /// A gate resolved to its batch-local kernel form: dispatch decided and
@@ -105,9 +106,9 @@ impl CompiledGate {
             CompiledGate::Swap(a, b) => apply_swap(buf, *a, *b),
             CompiledGate::Ctrl1 { mask, t, m } => apply_controlled_1q(buf, *mask, *t, m),
             CompiledGate::Diag1 { q, d0, d1 } => apply_1q_diag(buf, *q, *d0, *d1),
-            CompiledGate::Diag { qs, diag } => apply_diag(buf, qs, diag),
+            CompiledGate::Diag { qs, diag } => apply_diag(buf, qs, diag, &Pool::SERIAL),
             CompiledGate::OneQ { q, m } => apply_1q(buf, *q, m),
-            CompiledGate::Dense { qs, m } => apply_matrix_with(scratch, buf, qs, m),
+            CompiledGate::Dense { qs, m } => apply_matrix_with(scratch, buf, qs, m, &Pool::SERIAL),
         }
     }
 }

@@ -4,6 +4,12 @@
 //! of a kernel into a single `2^k × 2^k` unitary and apply it in one pass —
 //! the same thing cuQuantum's apply-matrix does on a real GPU.
 
+use crate::apply::{
+    apply_controlled_matrix_with, apply_diag, apply_matrix_with, apply_permutation_with,
+    apply_scale,
+};
+use crate::pool::Pool;
+use crate::scratch::Scratch;
 use atlas_circuit::Gate;
 use atlas_qmath::{extract_bits, Complex64, Matrix};
 
@@ -82,7 +88,7 @@ pub const KERNEL_CLASSIFY_TOL: f64 = 1e-12;
 /// which the dense `O(4^k)`-per-group multiply is mostly wasted work.
 /// [`classify_kernel`] inspects the matrix once at plan-specialization
 /// time; [`apply_kernel`] then dispatches to the matching fast path in
-/// [`crate::apply`] / [`crate::parallel`].
+/// [`crate::apply`].
 #[derive(Clone, Debug)]
 pub enum FastKernel {
     /// The identity — applying it is a no-op.
@@ -232,63 +238,55 @@ pub fn classify_kernel(m: &Matrix) -> FastKernel {
 }
 
 /// Applies a compiled kernel over physical qubit positions `qubits`,
-/// folding the scalar `scale` in for free where the form allows it, with
-/// up to `threads` threads of intra-shard parallelism. Uses the calling
-/// thread's scratch arena.
+/// folding the scalar `scale` in for free where the form allows it. Uses
+/// the calling thread's scratch arena and runs on the calling thread.
 ///
 /// `scale != ONE` requires [`FastKernel::can_fold_scale`]; callers emit a
 /// separate scale pass for `Controlled` kernels.
-pub fn apply_kernel(
-    amps: &mut [Complex64],
-    qubits: &[u32],
-    kernel: &FastKernel,
-    scale: Complex64,
-    threads: usize,
-) {
-    crate::scratch::with_thread(|s| apply_kernel_with(s, amps, qubits, kernel, scale, threads));
+pub fn apply_kernel(amps: &mut [Complex64], qubits: &[u32], kernel: &FastKernel, scale: Complex64) {
+    crate::scratch::with_thread(|s| {
+        apply_kernel_with(s, amps, qubits, kernel, scale, &Pool::SERIAL)
+    });
 }
 
-/// [`apply_kernel`] with an explicit scratch arena: scaled diagonals,
-/// phases and matrices go into pooled buffers instead of per-call
-/// allocations, and the dense/permutation/controlled sub-kernels reuse
-/// the arena's offset tables.
+/// [`apply_kernel`] with an explicit scratch arena and pool: scaled
+/// diagonals, phases and matrices go into pooled buffers instead of
+/// per-call allocations, the dense/permutation/controlled sub-kernels
+/// reuse the arena's offset tables, and each pass is split over `pool`
+/// when it is large enough (see [`crate::apply`]).
 pub fn apply_kernel_with(
-    scratch: &mut crate::scratch::Scratch,
+    scratch: &mut Scratch,
     amps: &mut [Complex64],
     qubits: &[u32],
     kernel: &FastKernel,
     scale: Complex64,
-    threads: usize,
+    pool: &Pool,
 ) {
     let fold = !scale.approx_eq(Complex64::ONE, 0.0);
     match kernel {
         FastKernel::Identity => {
             if fold {
-                crate::parallel::scale_parallel(amps, scale, threads);
+                apply_scale(amps, scale, pool);
             }
         }
         FastKernel::Diagonal(diag) => {
             if fold {
                 let mut scaled = scratch.take_amps();
                 scaled.extend(diag.iter().map(|&d| d * scale));
-                crate::parallel::apply_diag_parallel(amps, qubits, &scaled, threads);
+                apply_diag(amps, qubits, &scaled, pool);
                 scratch.put_amps(scaled);
             } else {
-                crate::parallel::apply_diag_parallel(amps, qubits, diag, threads);
+                apply_diag(amps, qubits, diag, pool);
             }
         }
         FastKernel::Permutation { dst, phase } => {
             if fold {
                 let mut scaled = scratch.take_amps();
                 scaled.extend(phase.iter().map(|&p| p * scale));
-                crate::parallel::apply_permutation_parallel_with(
-                    scratch, amps, qubits, dst, &scaled, threads,
-                );
+                apply_permutation_with(scratch, amps, qubits, dst, &scaled, pool);
                 scratch.put_amps(scaled);
             } else {
-                crate::parallel::apply_permutation_parallel_with(
-                    scratch, amps, qubits, dst, phase, threads,
-                );
+                apply_permutation_with(scratch, amps, qubits, dst, phase, pool);
             }
         }
         FastKernel::Controlled {
@@ -302,15 +300,13 @@ pub fn apply_kernel_with(
                 // costs a real extra pass here — callers that can emit a
                 // shared scale op elsewhere should check can_fold_scale()
                 // first, but a fold request must never be dropped.
-                crate::parallel::scale_parallel(amps, scale, threads);
+                apply_scale(amps, scale, pool);
             }
             let mut cphys = scratch.take_qubits();
             cphys.extend(controls.iter().map(|&p| qubits[p as usize]));
             let mut tphys = scratch.take_qubits();
             tphys.extend(targets.iter().map(|&p| qubits[p as usize]));
-            crate::parallel::apply_controlled_parallel_with(
-                scratch, amps, &cphys, &tphys, matrix, threads,
-            );
+            apply_controlled_matrix_with(scratch, amps, &cphys, &tphys, matrix, pool);
             scratch.put_qubits(tphys);
             scratch.put_qubits(cphys);
         }
@@ -318,14 +314,36 @@ pub fn apply_kernel_with(
             if fold {
                 let mut scaled = scratch.take_matrix();
                 scaled.clone_scaled_from(m, scale);
-                crate::parallel::apply_matrix_parallel_with(
-                    scratch, amps, qubits, &scaled, threads,
-                );
+                apply_matrix_with(scratch, amps, qubits, &scaled, pool);
                 scratch.put_matrix(scaled);
             } else {
-                crate::parallel::apply_matrix_parallel_with(scratch, amps, qubits, m, threads);
+                apply_matrix_with(scratch, amps, qubits, m, pool);
             }
         }
+    }
+}
+
+/// Applies a reduced shared-memory kernel part `m` over `qubits` with a
+/// cheap structure dispatch: `1×1` scalar → whole-slice scale, diagonal →
+/// diagonal pass (extracted into a pooled buffer), otherwise the dense
+/// path. Parts are tiny per-shard specializations, so full
+/// [`classify_kernel`] treatment would cost more than it saves.
+pub fn apply_reduced_with(
+    scratch: &mut Scratch,
+    amps: &mut [Complex64],
+    qubits: &[u32],
+    m: &Matrix,
+    pool: &Pool,
+) {
+    if m.rows() == 1 {
+        apply_scale(amps, m[(0, 0)], pool);
+    } else if m.is_diagonal(KERNEL_CLASSIFY_TOL) {
+        let mut diag = scratch.take_amps();
+        diag.extend((0..m.rows()).map(|i| m[(i, i)]));
+        apply_diag(amps, qubits, &diag, pool);
+        scratch.put_amps(diag);
+    } else {
+        apply_matrix_with(scratch, amps, qubits, m, pool);
     }
 }
 
@@ -492,7 +510,7 @@ mod tests {
             }
             let mut b = a.clone();
             apply_matrix(a.amplitudes_mut(), &kq, &fused);
-            apply_kernel(b.amplitudes_mut(), &kq, &fast, Complex64::ONE, 1);
+            apply_kernel(b.amplitudes_mut(), &kq, &fast, Complex64::ONE);
             assert!(
                 a.approx_eq(&b, 1e-10),
                 "{fast:?} diverged from dense apply: {}",
@@ -522,7 +540,7 @@ mod tests {
         for amp in a.amplitudes_mut() {
             *amp *= s;
         }
-        apply_kernel(b.amplitudes_mut(), &kq, &fast, s, 1);
+        apply_kernel(b.amplitudes_mut(), &kq, &fast, s);
         assert!(a.approx_eq(&b, 1e-12));
     }
 }

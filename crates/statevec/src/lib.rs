@@ -5,10 +5,11 @@
 //! diagonal / permutation / controlled paths), gate fusion into dense
 //! kernel matrices with structure-aware classification ([`FastKernel`]),
 //! shared-memory-style batched execution (the CPU analogue of HyQuas
-//! SHM-GROUPING that Atlas' shared-memory kernels model), a
-//! multi-threaded apply path, the per-worker [`scratch`] arena that makes
-//! steady-state kernel execution allocation-free, and the persistent
-//! worker [`pool`] the distributed executor schedules shard kernels on.
+//! SHM-GROUPING that Atlas' shared-memory kernels model), the per-worker
+//! [`scratch`] arena that makes steady-state kernel execution
+//! allocation-free, and the persistent worker [`pool`] that runs shard
+//! kernels side by side — or the pieces of one large kernel, whose group
+//! range every hot kernel splits over the pool it is given.
 //! See `docs/PERFORMANCE.md` for the kernel dispatch table and the
 //! scratch-arena lifecycle.
 //!
@@ -23,18 +24,20 @@ pub mod apply;
 pub mod batched;
 pub mod fused;
 pub mod measure;
-pub mod parallel;
 pub mod pool;
 pub mod scratch;
 pub mod state;
 
-pub use apply::{apply_gate, apply_matrix, apply_matrix_generic, apply_matrix_with};
+pub use apply::{
+    apply_gate, apply_matrix, apply_matrix_generic, apply_matrix_with, apply_scale,
+    PARALLEL_GROUP_CUTOFF,
+};
 pub use batched::{apply_batched, apply_batched_with};
 pub use fused::{
-    apply_kernel, apply_kernel_with, classify_kernel, expand_to_kernel, fuse_gates, FastKernel,
+    apply_kernel, apply_kernel_with, apply_reduced_with, classify_kernel, expand_to_kernel,
+    fuse_gates, FastKernel,
 };
 pub use measure::{chunk_norms, norm_sqr_slice, signed_norm, signed_pair_sum, TopK, MEASURE_CHUNK};
-pub use parallel::{apply_matrix_parallel, apply_matrix_parallel_with, PARALLEL_GROUP_CUTOFF};
 pub use pool::{with_pool, Pool};
 pub use scratch::Scratch;
 pub use state::StateVector;

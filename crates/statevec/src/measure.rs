@@ -9,14 +9,17 @@
 //! [`MEASURE_CHUNK`]-amplitude chunks, each chunk is summed serially in
 //! index order, and the per-chunk partials are combined serially in chunk
 //! order. The chunk boundaries depend only on the slice length — never on
-//! the thread count — so each `*_parallel` twin is **bit-identical** to
-//! its serial twin (the same floating-point additions in the same order,
-//! mirroring the contract of [`crate::parallel`]). The chunked partials
-//! are also exposed directly ([`chunk_norms`]) because they double as the
-//! coarse CDF ("probability prefix sum") that inverse-transform shot
-//! sampling binary-searches before scanning a single chunk.
+//! the pool's thread count — so every reduction is **bit-identical** for
+//! every pool it runs on (the same floating-point additions in the same
+//! order; the pool only decides which thread computes which partial).
+//! The chunked partials are also exposed directly ([`chunk_norms`])
+//! because they double as the coarse CDF ("probability prefix sum") that
+//! inverse-transform shot sampling binary-searches before scanning a
+//! single chunk.
 
+use crate::pool::Pool;
 use atlas_qmath::Complex64;
+use std::sync::OnceLock;
 
 /// Fixed reduction granularity (amplitudes per chunk).
 ///
@@ -24,8 +27,7 @@ use atlas_qmath::Complex64;
 /// stays tiny (`2^16` entries), large enough that the serial per-chunk
 /// scan dominates the per-chunk bookkeeping. Changing this constant
 /// changes floating-point association (and therefore last-ulp results);
-/// it is deliberately a single global knob so serial and parallel paths
-/// can never disagree.
+/// it is deliberately a single global knob so no schedule can disagree.
 pub const MEASURE_CHUNK: usize = 1 << 12;
 
 /// Number of chunks a slice of `len` amplitudes reduces to.
@@ -35,73 +37,52 @@ pub fn num_chunks(len: usize) -> usize {
 }
 
 /// Computes per-chunk values `eval(chunk_index, chunk_slice)` for every
-/// [`MEASURE_CHUNK`]-sized chunk of `amps`, on up to `threads` threads.
-/// The output order (and each value, for a deterministic `eval`) is
-/// independent of `threads`.
-fn map_chunks<T: Send>(
+/// [`MEASURE_CHUNK`]-sized chunk of `amps` (one empty chunk for an empty
+/// slice), in chunk order. The chunks are split into
+/// [`Pool::threads`] contiguous runs, each run one item of `pool`; the
+/// output (and each value, for a deterministic `eval`) is independent of
+/// the pool.
+fn map_chunks<T: Send + Sync>(
     amps: &[Complex64],
-    threads: usize,
+    pool: &Pool,
     eval: &(dyn Fn(usize, &[Complex64]) -> T + Sync),
 ) -> Vec<T> {
-    let chunks: Vec<&[Complex64]> = if amps.is_empty() {
-        vec![amps]
-    } else {
-        amps.chunks(MEASURE_CHUNK).collect()
+    let n = num_chunks(amps.len());
+    let chunk = |i: usize| {
+        let lo = (i * MEASURE_CHUNK).min(amps.len());
+        &amps[lo..(lo + MEASURE_CHUNK).min(amps.len())]
     };
-    let n = chunks.len();
-    let threads = if n < 2 { 1 } else { threads.clamp(1, n) };
-    if threads == 1 {
-        return chunks.iter().enumerate().map(|(i, c)| eval(i, c)).collect();
+    let runs = pool.threads().min(n);
+    if runs == 1 {
+        return (0..n).map(|i| eval(i, chunk(i))).collect();
     }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let span = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        // Split the output into disjoint per-thread windows — safe
-        // parallel writes without interior mutability.
-        let mut rest: &mut [Option<T>] = &mut out;
-        for t in 0..threads {
-            let lo = t * span;
-            let hi = ((t + 1) * span).min(n);
-            if lo >= hi {
-                break;
-            }
-            let (window, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            let chunks = &chunks;
-            scope.spawn(move || {
-                for (w, slot) in window.iter_mut().enumerate() {
-                    *slot = Some(eval(lo + w, chunks[lo + w]));
-                }
-            });
+    let span = n.div_ceil(runs);
+    let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
+    pool.run(runs, &|r| {
+        let lo = (r * span).min(n);
+        for (slot, i) in slots[lo..(lo + span).min(n)].iter().zip(lo..) {
+            slot.set(eval(i, chunk(i)))
+                .unwrap_or_else(|_| unreachable!("chunk visited twice"));
         }
     });
-    out.into_iter()
-        .map(|v| v.expect("chunk computed"))
+    slots
+        .into_iter()
+        .map(|v| v.into_inner().expect("chunk computed"))
         .collect()
 }
 
 /// Per-chunk probability masses `Σ|aᵢ|²` over fixed
 /// [`MEASURE_CHUNK`]-sized chunks — the coarse row of a probability
 /// prefix sum (its running total is the chunk-level CDF).
-pub fn chunk_norms(amps: &[Complex64]) -> Vec<f64> {
-    chunk_norms_parallel(amps, 1)
-}
-
-/// Parallel twin of [`chunk_norms`]; bit-identical for every `threads`.
-pub fn chunk_norms_parallel(amps: &[Complex64], threads: usize) -> Vec<f64> {
-    map_chunks(amps, threads, &|_, c| {
+pub fn chunk_norms(amps: &[Complex64], pool: &Pool) -> Vec<f64> {
+    map_chunks(amps, pool, &|_, c| {
         c.iter().map(|a| a.norm_sqr()).sum::<f64>()
     })
 }
 
 /// Partial norm `Σ|aᵢ|²` of a slice, chunk-combined in index order.
-pub fn norm_sqr_slice(amps: &[Complex64]) -> f64 {
-    norm_sqr_slice_parallel(amps, 1)
-}
-
-/// Parallel twin of [`norm_sqr_slice`]; bit-identical for every `threads`.
-pub fn norm_sqr_slice_parallel(amps: &[Complex64], threads: usize) -> f64 {
-    chunk_norms_parallel(amps, threads).iter().sum()
+pub fn norm_sqr_slice(amps: &[Complex64], pool: &Pool) -> f64 {
+    chunk_norms(amps, pool).iter().sum()
 }
 
 /// Sign of `(-1)^{popcount(x & mask)}` as `+1.0` / `-1.0`.
@@ -118,13 +99,8 @@ fn sign(x: u64, mask: u64) -> f64 {
 /// `Σᵢ (-1)^{popcount((base|i) & sign_mask)} · |aᵢ|²`, where `base` is
 /// the shard's global index offset. With `sign_mask = 0` this degrades to
 /// the partial norm.
-pub fn signed_norm(amps: &[Complex64], base: u64, sign_mask: u64) -> f64 {
-    signed_norm_parallel(amps, base, sign_mask, 1)
-}
-
-/// Parallel twin of [`signed_norm`]; bit-identical for every `threads`.
-pub fn signed_norm_parallel(amps: &[Complex64], base: u64, sign_mask: u64, threads: usize) -> f64 {
-    map_chunks(amps, threads, &|ci, c| {
+pub fn signed_norm(amps: &[Complex64], base: u64, sign_mask: u64, pool: &Pool) -> f64 {
+    map_chunks(amps, pool, &|ci, c| {
         let chunk_base = base | (ci * MEASURE_CHUNK) as u64;
         c.iter()
             .enumerate()
@@ -146,26 +122,14 @@ pub fn signed_pair_sum(
     local_flip: usize,
     base: u64,
     sign_mask: u64,
-) -> Complex64 {
-    signed_pair_sum_parallel(a, b, local_flip, base, sign_mask, 1)
-}
-
-/// Parallel twin of [`signed_pair_sum`]; bit-identical for every
-/// `threads`.
-pub fn signed_pair_sum_parallel(
-    a: &[Complex64],
-    b: &[Complex64],
-    local_flip: usize,
-    base: u64,
-    sign_mask: u64,
-    threads: usize,
+    pool: &Pool,
 ) -> Complex64 {
     assert_eq!(a.len(), b.len());
     // `i ^ local_flip` only stays in range on power-of-two shards, which
     // is the only shape `atlas-machine` allocates.
     assert!(a.len().is_power_of_two(), "shard length must be 2^L");
     assert!(local_flip < a.len(), "flip must stay in the shard");
-    map_chunks(a, threads, &|ci, c| {
+    map_chunks(a, pool, &|ci, c| {
         let start = ci * MEASURE_CHUNK;
         let chunk_base = base | start as u64;
         let mut acc = Complex64::ZERO;
@@ -269,38 +233,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_reductions_are_bit_identical() {
-        // Longer than one chunk so the parallel split is real.
+    fn pool_reductions_are_bit_identical() {
+        // Longer than one chunk so the split over the pool is real.
         let amps = ramp(MEASURE_CHUNK * 3 + 17);
+        // Pair sums require a power-of-two (shard-shaped) slice.
+        let pow2 = ramp(MEASURE_CHUNK * 4);
+        let b = ramp(pow2.len());
+        let serial = &Pool::SERIAL;
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for threads in [2usize, 5, 8] {
-            assert_eq!(
-                norm_sqr_slice(&amps).to_bits(),
-                norm_sqr_slice_parallel(&amps, threads).to_bits()
-            );
-            assert_eq!(
-                chunk_norms(&amps)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                chunk_norms_parallel(&amps, threads)
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>()
-            );
-            let (s1, s2) = (
-                signed_norm(&amps, 1 << 20, 0b1011),
-                signed_norm_parallel(&amps, 1 << 20, 0b1011, threads),
-            );
-            assert_eq!(s1.to_bits(), s2.to_bits());
-            // Pair sums require a power-of-two (shard-shaped) slice.
-            let pow2 = ramp(MEASURE_CHUNK * 4);
-            let b = ramp(pow2.len());
-            let (p1, p2) = (
-                signed_pair_sum(&pow2, &b, 3, 0, 0b110),
-                signed_pair_sum_parallel(&pow2, &b, 3, 0, 0b110, threads),
-            );
-            assert_eq!(p1.re.to_bits(), p2.re.to_bits());
-            assert_eq!(p1.im.to_bits(), p2.im.to_bits());
+            crate::pool::with_pool(threads, |pool| {
+                assert_eq!(
+                    norm_sqr_slice(&amps, serial).to_bits(),
+                    norm_sqr_slice(&amps, pool).to_bits()
+                );
+                assert_eq!(
+                    bits(chunk_norms(&amps, serial)),
+                    bits(chunk_norms(&amps, pool))
+                );
+                let (s1, s2) = (
+                    signed_norm(&amps, 1 << 20, 0b1011, serial),
+                    signed_norm(&amps, 1 << 20, 0b1011, pool),
+                );
+                assert_eq!(s1.to_bits(), s2.to_bits());
+                let (p1, p2) = (
+                    signed_pair_sum(&pow2, &b, 3, 0, 0b110, serial),
+                    signed_pair_sum(&pow2, &b, 3, 0, 0b110, pool),
+                );
+                assert_eq!(p1.re.to_bits(), p2.re.to_bits());
+                assert_eq!(p1.im.to_bits(), p2.im.to_bits());
+            });
         }
     }
 
@@ -308,9 +270,9 @@ mod tests {
     fn chunk_norms_sum_to_norm() {
         let amps = ramp(MEASURE_CHUNK + 100);
         let direct: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        let chunked: f64 = chunk_norms(&amps).iter().sum();
+        let chunked: f64 = chunk_norms(&amps, &Pool::SERIAL).iter().sum();
         assert!((direct - chunked).abs() < 1e-9);
-        assert_eq!(chunk_norms(&amps).len(), 2);
+        assert_eq!(chunk_norms(&amps, &Pool::SERIAL).len(), 2);
     }
 
     #[test]
@@ -318,9 +280,9 @@ mod tests {
         // Two amplitudes: |0⟩ weight 0.25, |1⟩ weight 0.75.
         let amps = vec![Complex64::real(0.5), Complex64::real(0.75f64.sqrt())];
         // Z on bit 0: 0.25 - 0.75 = -0.5.
-        assert!((signed_norm(&amps, 0, 1) + 0.5).abs() < 1e-12);
+        assert!((signed_norm(&amps, 0, 1, &Pool::SERIAL) + 0.5).abs() < 1e-12);
         // Base offset with a masked high bit flips everything.
-        assert!((signed_norm(&amps, 0b100, 0b100) + 1.0).abs() < 1e-12);
+        assert!((signed_norm(&amps, 0b100, 0b100, &Pool::SERIAL) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -328,7 +290,7 @@ mod tests {
         // |ψ⟩ = α|0⟩ + β|1⟩ ; ⟨X⟩ = 2·Re(α* β).
         let (alpha, beta) = (Complex64::new(0.6, 0.1), Complex64::new(0.2, -0.7));
         let amps = vec![alpha, beta];
-        let got = signed_pair_sum(&amps, &amps, 1, 0, 0);
+        let got = signed_pair_sum(&amps, &amps, 1, 0, 0, &Pool::SERIAL);
         let want = alpha.conj() * beta + beta.conj() * alpha;
         assert!((got - want).norm() < 1e-12);
     }

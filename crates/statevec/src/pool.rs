@@ -79,10 +79,11 @@ impl Pool<'_> {
     };
 
     /// A workerless pool advertising a thread budget: `run` executes
-    /// inline, but [`Pool::threads`] reports `threads` so callers that
-    /// parallelize *inside* items (intra-shard kernels) know their
-    /// budget. Used when there are fewer independent items than threads —
-    /// spawning parked workers would only waste a thread per core.
+    /// inline, but [`Pool::threads`] reports `threads`. Used when there
+    /// are fewer independent items (shards) than threads: the caller runs
+    /// the items itself and spends the budget *inside* each one through
+    /// [`Pool::with_workers`], which starts the workers once for the
+    /// whole call instead of once per kernel.
     pub const fn inline(threads: usize) -> Pool<'static> {
         Pool {
             shared: None,
@@ -93,6 +94,18 @@ impl Pool<'_> {
     /// Number of threads available to this pool (1 for the serial pool).
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Runs `body` with a pool whose [`Pool::run`] spreads items over
+    /// [`Pool::threads`] workers: `self` when it already has workers (or
+    /// a budget of one thread), otherwise a fresh [`with_pool`] scope
+    /// that lives for the whole of `body`.
+    pub fn with_workers<R>(&self, body: impl FnOnce(&Pool) -> R) -> R {
+        if self.shared.is_some() || self.threads == 1 {
+            body(self)
+        } else {
+            with_pool(self.threads, body)
+        }
     }
 
     /// Runs `f(i)` for every `i` in `0..count` and blocks until all items
@@ -257,6 +270,22 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 70);
+    }
+
+    #[test]
+    fn inline_pool_starts_workers_only_inside_with_workers() {
+        let workers = Mutex::new(std::collections::HashSet::new());
+        let caller = std::thread::current().id();
+        let inline = Pool::inline(3);
+        inline.run(4, &|_| assert_eq!(std::thread::current().id(), caller));
+        inline.with_workers(|pool| {
+            assert_eq!(pool.threads(), 3);
+            pool.run(64, &|_| {
+                workers.lock().unwrap().insert(std::thread::current().id());
+            });
+        });
+        assert!(!workers.lock().unwrap().contains(&caller));
+        Pool::SERIAL.with_workers(|pool| assert_eq!(pool.threads(), 1));
     }
 
     #[test]

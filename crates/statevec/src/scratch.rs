@@ -7,9 +7,11 @@
 //! a steady-state `EXECUTE` applies thousands of kernels whose qubit sets
 //! repeat stage after stage. A [`Scratch`] owns all of it:
 //!
-//! * **buffers** (`inbuf`/`outbuf`/`out_off`) are `clear()` + `resize()`d
-//!   per call, which never reallocates once capacity covers the largest
-//!   kernel seen (kernels are ≤ 7 qubits, so ≤ 128 entries);
+//! * **buffers** (`windows`/`out_off`) are `clear()` + `resize()`d per
+//!   call, which never reallocates once capacity covers the largest
+//!   kernel seen (kernels are ≤ 7 qubits, so a piece's gather and output
+//!   windows take ≤ 256 entries, times the pool's thread count when a
+//!   kernel is split);
 //! * **offset tables** are memoized per distinct qubit list in a map, so
 //!   the `deposit_bits` scatter arithmetic runs once per (qubit set) and
 //!   the table also records the layout facts the dispatcher needs
@@ -19,7 +21,8 @@
 //!   therefore cannot share the flat buffers.
 //!
 //! The executor threads one `Scratch` per worker thread through the shard
-//! programs via [`with_thread`]: pool workers persist across stages (see
+//! programs via [`with_thread`] (a kernel split over the pool uses only
+//! the calling thread's arena): pool workers persist across stages (see
 //! [`crate::pool`]), so after the first stage warms the arena, kernel
 //! execution performs **zero heap allocations per gate** — asserted by the
 //! counting-allocator test in `tests/hotpath_alloc.rs`.
@@ -47,10 +50,11 @@ pub struct OffsetTable {
 
 /// Flat reusable buffers for the non-nesting apply kernels.
 pub(crate) struct Bufs {
-    /// Gather buffer (one kernel group of amplitudes).
-    pub inbuf: Vec<Complex64>,
-    /// Output buffer for the dense multiply.
-    pub outbuf: Vec<Complex64>,
+    /// One gather (+ dense-multiply output) window per piece of a kernel
+    /// split over a pool, laid out back to back; a single window when the
+    /// kernel runs whole. The calling thread owns the arena, so pool
+    /// workers need no arena of their own.
+    pub windows: Vec<Complex64>,
     /// Destination offsets for permutation kernels.
     pub out_off: Vec<u64>,
 }
@@ -162,8 +166,7 @@ impl Scratch {
     pub fn new() -> Self {
         Scratch {
             bufs: Bufs {
-                inbuf: Vec::new(),
-                outbuf: Vec::new(),
+                windows: Vec::new(),
                 out_off: Vec::new(),
             },
             tables: Tables {

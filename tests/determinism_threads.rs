@@ -4,15 +4,17 @@
 //!
 //! This is a stronger property than the differential harness's 1e-9
 //! tolerance — it holds because serial and parallel execution run the
-//! same compiled shard programs, and every parallel kernel in
-//! `atlas_statevec::parallel` performs the same floating-point operations
-//! as its serial twin, merely distributed across threads (no cross-group
-//! reductions anywhere in the engine).
+//! same compiled shard programs through the same kernels: each kernel in
+//! `atlas_statevec::apply` is one body over a range of independent
+//! groups, and a thread count only changes how that range is split
+//! across workers (no cross-group reductions anywhere in the engine; the
+//! measurement reductions combine fixed chunks in chunk order).
 
 mod common;
 
 use atlas::core::noise::{self, NoisyOutcome};
 use atlas::prelude::*;
+use atlas::sampler::PauliOp;
 
 /// Runs `circuit` on `spec` with the given thread count and returns the
 /// final state.
@@ -117,5 +119,40 @@ fn intermediate_thread_counts_are_byte_identical() {
                 &format!("qaoa(9) t={t} on {}", common::shape_label(&spec)),
             );
         }
+    }
+
+    // One 2^16-amplitude shard: every kernel sits above the group cutoff
+    // and each reduction spans 16 measurement chunks, so t > 1 really
+    // splits kernels and reductions over the pool.
+    let circuit = atlas::circuit::generators::qaoa(16);
+    let spec = MachineSpec::single_gpu(16);
+    let z_only = PauliString::from_ops(16, &[(0, PauliOp::Z), (9, PauliOp::Z)]);
+    let with_x = PauliString::from_ops(16, &[(3, PauliOp::X), (12, PauliOp::Z)]);
+    let run = |threads: usize| {
+        let cfg = AtlasConfig {
+            threads,
+            shots: 256,
+            seed: 7,
+            ..AtlasConfig::for_validation()
+        };
+        let out =
+            simulate(&circuit, spec, CostModel::default(), &cfg, false).expect("simulation failed");
+        let m = out.measurements.expect("functional run");
+        let expectations = [m.expectation(&z_only), m.expectation(&with_x)].map(f64::to_bits);
+        (
+            out.state.expect("state"),
+            out.samples.expect("samples"),
+            expectations,
+        )
+    };
+    let (state, samples, expectations) = run(1);
+    for t in [2, 3, 8] {
+        let (got_state, got_samples, got_expectations) = run(t);
+        assert_byte_identical(&state, &got_state, &format!("qaoa(16) t={t} on 1 GPU"));
+        assert_eq!(samples, got_samples, "qaoa(16) t={t}: samples differ");
+        assert_eq!(
+            expectations, got_expectations,
+            "qaoa(16) t={t}: expectations differ"
+        );
     }
 }

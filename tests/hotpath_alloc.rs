@@ -6,18 +6,20 @@
 //! allocated **nothing** (kernel level) or nothing amplitude-sized
 //! (machine level, where per-step clock bookkeeping may grow a tiny
 //! `Vec<StageTiming>`). This file is its own test binary on purpose: the
-//! counter is process-global, so no unrelated test may run concurrently.
+//! counter is process-global, so no unrelated test may run concurrently —
+//! and the tests in it hold [`serialized`] for their whole body, so they
+//! never overlap each other either.
 
 use atlas::machine::{CostModel, Machine, MachineSpec, ShardOp, ShardProgram};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, QubitPermutation};
 use atlas::statevec::{
     apply_batched_with, apply_kernel_with, apply_matrix_with, classify_kernel, fuse_gates,
-    simulate_reference, Pool, Scratch, StateVector,
+    simulate_reference, FastKernel, Pool, Scratch, StateVector,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Threshold above which an allocation counts as "large" (amplitude-buffer
 /// sized, as opposed to clock-bookkeeping noise).
@@ -53,6 +55,29 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Held by every test for its whole body: the harness runs tests on
+/// parallel threads, and one test's allocations must not land in
+/// another's measured window.
+///
+/// The harness itself also allocates right after a test finishes (it
+/// reports the result and starts the next test's thread), which is
+/// exactly when the next test takes the lock. So the lock holder first
+/// waits until the process-wide counter has been still for a few
+/// milliseconds: from then on every other thread is blocked on this
+/// lock or idle in the harness.
+fn serialized() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A failed test poisons the lock; the others still run.
+    let guard = LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    loop {
+        let before = allocs();
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        if allocs() == before {
+            return guard;
+        }
+    }
+}
+
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::SeqCst)
 }
@@ -71,6 +96,7 @@ fn dense_state(n: u32) -> StateVector {
 
 #[test]
 fn warm_scratch_apply_layer_allocates_nothing() {
+    let _serial = serialized();
     let n = 12u32;
     let mut sv = dense_state(n);
     let mut scratch = Scratch::new();
@@ -116,7 +142,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
 
     let pass = |scratch: &mut Scratch, sv: &mut StateVector| {
         for (qs, m) in &mats {
-            apply_matrix_with(scratch, sv.amplitudes_mut(), qs, m);
+            apply_matrix_with(scratch, sv.amplitudes_mut(), qs, m, &Pool::SERIAL);
         }
         apply_kernel_with(
             scratch,
@@ -124,7 +150,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[1, 3],
             &diag_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel_with(
             scratch,
@@ -132,7 +158,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[2, 6, 9],
             &perm_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel_with(
             scratch,
@@ -140,7 +166,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[5, 10],
             &ctrl_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
         apply_kernel_with(
             scratch,
@@ -148,7 +174,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
             &[1, 4],
             &dense_kernel,
             scale,
-            1,
+            &Pool::SERIAL,
         );
     };
 
@@ -170,6 +196,7 @@ fn warm_scratch_apply_layer_allocates_nothing() {
 
 #[test]
 fn batched_allocations_are_independent_of_group_count() {
+    let _serial = serialized();
     // `apply_batched_with` compiles its gate list once per call (a
     // bounded number of small allocations); the per-group sweep itself
     // must allocate nothing. Compare a warm call over 2^3 groups with one
@@ -208,6 +235,7 @@ fn batched_allocations_are_independent_of_group_count() {
 
 #[test]
 fn warm_machine_execute_and_relayout_allocate_no_buffers() {
+    let _serial = serialized();
     let n = 10u32;
     let spec = MachineSpec {
         nodes: 2,
@@ -279,6 +307,7 @@ fn warm_machine_execute_and_relayout_allocate_no_buffers() {
 
 #[test]
 fn enabled_recorder_steady_state_records_without_allocating() {
+    let _serial = serialized();
     // The telemetry contract: attaching a live recorder keeps the warm
     // execution hot path at ZERO heap allocations — events go into
     // fixed-capacity thread-local buffers and drain into a pre-reserved
@@ -344,4 +373,72 @@ fn enabled_recorder_steady_state_records_without_allocating() {
         .count();
     assert_eq!(kernel_spans, 2 * machine.num_shards());
     assert_eq!(reshuffles, 4);
+}
+
+#[test]
+fn intra_shard_split_allocates_per_call_not_per_op() {
+    let _serial = serialized();
+    // One shard and a two-thread budget: every op below splits its group
+    // (or element) range over the pool. Starting the workers may allocate,
+    // but only once per `run_shard_programs` call — ten rounds of the same
+    // four ops must allocate no more than one round.
+    let n = 16u32;
+    let reference = dense_state(n);
+    let mut machine =
+        Machine::with_state(MachineSpec::single_gpu(n), CostModel::default(), &reference);
+    assert_eq!(machine.num_shards(), 1);
+
+    let mut dense_c = Circuit::new(n);
+    dense_c.h(2).cx(2, 9).h(13).cx(9, 13);
+    let dense = classify_kernel(&fuse_gates(&[2, 9, 13], dense_c.gates()));
+    assert!(matches!(dense, FastKernel::Dense(_)));
+    let mut diag_c = Circuit::new(n);
+    diag_c.t(4).cp(0.7, 4, 15).rz(0.3, 15);
+    let diag = classify_kernel(&fuse_gates(&[4, 15], diag_c.gates()));
+    let round = vec![
+        ShardOp::Fusion {
+            qubits: Arc::new(vec![2, 9, 13]),
+            kernel: Arc::new(dense),
+            scale: Complex64::ONE,
+        },
+        ShardOp::Fusion {
+            qubits: Arc::new(vec![4, 15]),
+            kernel: Arc::new(diag),
+            scale: Complex64::cis(0.21),
+        },
+        ShardOp::ShmParts {
+            parts: Arc::new(vec![
+                (vec![5u32], GateKind::H.matrix()),
+                (vec![3u32], GateKind::T.matrix()),
+            ]),
+            per_amp_ns: 1.0,
+            scale: Complex64::cis(0.11),
+        },
+        ShardOp::Scale(Complex64::cis(0.05)),
+    ];
+    let once: Vec<ShardProgram> = vec![round.clone()];
+    let ten: Vec<ShardProgram> = vec![round
+        .iter()
+        .cycle()
+        .take(10 * round.len())
+        .cloned()
+        .collect()];
+    let pool = Pool::inline(2);
+
+    // Warm-up: the calling thread's arena (tables, windows, pooled
+    // buffers) and the clock bookkeeping.
+    machine.run_shard_programs(&ten, &pool);
+    machine.stage_barrier();
+
+    let before = allocs();
+    machine.run_shard_programs(&once, &pool);
+    let once_delta = allocs() - before;
+    let before = allocs();
+    machine.run_shard_programs(&ten, &pool);
+    let ten_delta = allocs() - before;
+    assert!(
+        ten_delta <= once_delta,
+        "10 rounds allocated {ten_delta} times, one round {once_delta}: ops allocate"
+    );
+    assert!(machine.gather_state().is_normalized(1e-9));
 }

@@ -8,15 +8,15 @@
 //! they perform the identical floating-point operations in the identical
 //! order. These properties pin that down to the bit: any rounding
 //! difference at all is a failure, not a tolerance question. That is also
-//! the property that keeps thread-count determinism intact, because the
-//! serial and parallel twins are free to take different forms.
+//! the property that keeps thread-count determinism intact: a kernel split
+//! over a pool runs the same range code on each piece of its groups.
 
 use atlas::machine::{CostModel, Machine, MachineSpec};
 use atlas::prelude::*;
 use atlas::qmath::{Complex64, Matrix, QubitPermutation};
 use atlas::statevec::{
-    apply_batched, apply_gate, apply_matrix, apply_matrix_generic, apply_matrix_parallel,
-    fuse_gates, simulate_reference, StateVector,
+    apply_batched, apply_gate, apply_matrix, apply_matrix_generic, apply_matrix_with, fuse_gates,
+    scratch, simulate_reference, with_pool, StateVector,
 };
 use proptest::prelude::*;
 
@@ -75,8 +75,8 @@ fn assert_bits_eq(a: &StateVector, b: &StateVector, label: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dispatched `apply_matrix` (and its thread-parallel twin) are
-    /// byte-identical to the generic oracle for every k = 1..=5, across
+    /// Dispatched `apply_matrix` (whole, and split over a 4-thread pool)
+    /// is byte-identical to the generic oracle for every k = 1..=5, across
     /// contiguous (low-window) and strided qubit subsets in random order.
     #[test]
     fn apply_matrix_fast_paths_match_generic_bitwise(
@@ -102,7 +102,9 @@ proptest! {
         assert_bits_eq(&fast, &generic, &format!("serial qs={qs:?}"));
 
         let mut par = base.clone();
-        apply_matrix_parallel(par.amplitudes_mut(), &qs, &m, 4);
+        with_pool(4, |pool| {
+            scratch::with_thread(|s| apply_matrix_with(s, par.amplitudes_mut(), &qs, &m, pool))
+        });
         assert_bits_eq(&par, &generic, &format!("parallel qs={qs:?}"));
     }
 
