@@ -7,8 +7,9 @@
 //! * **apply** — dense `k`-qubit unitaries over a `2^N`-amplitude state:
 //!   the dispatched fast path (`apply_matrix`, warm scratch arena) vs.
 //!   the generic gather/multiply/scatter oracle (`apply_matrix_generic`)
-//!   for unrolled contiguous k=1/k=2, a strided k=1, and a contiguous
-//!   k=5 window;
+//!   for unrolled contiguous k=1/k=2, a strided k=1, and the blocked
+//!   k ≥ 3 multiply over a strided k=3, a contiguous and a strided k=5,
+//!   and a strided k=7 (the kernelizer's widest fusion kernel);
 //! * **reshuffle** — `Machine` stage transitions: the block-copy
 //!   ping-pong relayout (`permute_state`) vs. the per-amplitude scatter
 //!   oracle (`permute_state_scatter`) for a cross-shard permutation with
@@ -18,8 +19,8 @@
 //!
 //! `ATLAS_BENCH_QUICK=1` shrinks the state and repetition counts for the
 //! CI perf-smoke step (the JSON schema is identical and gains
-//! `"quick": true`). `host_cpus` is recorded because this container is
-//! single-core; these speedups are *single-thread* gains by construction,
+//! `"quick": true`). `host_cpus` is recorded so runs from different hosts
+//! can be told apart; these speedups are *single-thread* gains by construction,
 //! which is exactly the point — they do not depend on parallel hardware.
 
 use atlas_circuit::Circuit;
@@ -99,8 +100,10 @@ fn apply_cases(n: u32, reps: usize) -> Vec<Case> {
         ("k1_contiguous", vec![0]),
         ("k1_strided", vec![n / 2]),
         ("k2_contiguous", vec![0, 1]),
+        ("k3_strided", vec![1, 4, 7]),
         ("k5_contiguous", vec![0, 1, 2, 3, 4]),
         ("k5_strided", (0..5).map(|i| i * 3 + 1).collect()),
+        ("k7_strided", (0..7).map(|i| i * 2 + 1).collect()),
     ];
     shapes
         .into_iter()

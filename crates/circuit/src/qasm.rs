@@ -31,6 +31,13 @@ pub enum QasmError {
     UnknownGate(usize, String),
     /// Wrong argument count for a gate.
     BadArity(usize, String),
+    /// A `qreg` size outside `1..=4096` (line number, size).
+    BadQregSize(usize, u32),
+    /// A gate qubit at or past the register size (line number, qubit,
+    /// register size).
+    QubitOutOfRange(usize, u32, u32),
+    /// The same qubit twice in one gate (line number, qubit).
+    DuplicateQubit(usize, u32),
 }
 
 impl std::fmt::Display for QasmError {
@@ -40,13 +47,29 @@ impl std::fmt::Display for QasmError {
             QasmError::BadLine(n, l) => write!(f, "line {n}: cannot parse '{l}'"),
             QasmError::UnknownGate(n, g) => write!(f, "line {n}: unknown gate '{g}'"),
             QasmError::BadArity(n, g) => write!(f, "line {n}: wrong arity for '{g}'"),
+            QasmError::BadQregSize(n, size) => {
+                write!(
+                    f,
+                    "line {n}: qreg size {size} outside 1..={}",
+                    Circuit::MAX_QUBITS
+                )
+            }
+            QasmError::QubitOutOfRange(n, q, size) => {
+                write!(
+                    f,
+                    "line {n}: qubit {q} out of range for qreg of size {size}"
+                )
+            }
+            QasmError::DuplicateQubit(n, q) => write!(f, "line {n}: qubit {q} repeated in gate"),
         }
     }
 }
 
 impl std::error::Error for QasmError {}
 
-/// Parses the QASM subset produced by [`to_qasm`].
+/// Parses the QASM subset produced by [`to_qasm`]. Input is untrusted:
+/// every malformed or out-of-range statement is a [`QasmError`], never a
+/// panic.
 pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
     let mut circuit: Option<Circuit> = None;
     for (lineno, raw) in text.lines().enumerate() {
@@ -74,6 +97,9 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
                 .trim_end_matches(']')
                 .parse()
                 .map_err(|_| QasmError::MissingQreg)?;
+            if !(1..=Circuit::MAX_QUBITS).contains(&n) {
+                return Err(QasmError::BadQregSize(lineno, n));
+            }
             circuit = Some(Circuit::new(n));
             continue;
         }
@@ -143,6 +169,14 @@ pub fn from_qasm(text: &str) -> Result<Circuit, QasmError> {
         if kind.arity() != qubits.len() {
             return Err(QasmError::BadArity(lineno, name.to_string()));
         }
+        for (i, &q) in qubits.iter().enumerate() {
+            if q >= c.num_qubits() {
+                return Err(QasmError::QubitOutOfRange(lineno, q, c.num_qubits()));
+            }
+            if qubits[..i].contains(&q) {
+                return Err(QasmError::DuplicateQubit(lineno, q));
+            }
+        }
         c.push(Gate::new(kind, &qubits));
     }
     circuit.ok_or(QasmError::MissingQreg)
@@ -195,5 +229,24 @@ measure q[0] -> c[0];
     fn unknown_gate_is_error() {
         let text = "qreg q[2];\nfoo q[0];";
         assert!(matches!(from_qasm(text), Err(QasmError::UnknownGate(2, _))));
+    }
+
+    #[test]
+    fn out_of_range_qubit_is_error() {
+        let text = "qreg q[3];\nh q[7];";
+        assert_eq!(from_qasm(text), Err(QasmError::QubitOutOfRange(2, 7, 3)));
+    }
+
+    #[test]
+    fn duplicate_qubit_is_error() {
+        let text = "qreg q[3];\nh q[0];\ncx q[1],q[1];";
+        assert_eq!(from_qasm(text), Err(QasmError::DuplicateQubit(3, 1)));
+    }
+
+    #[test]
+    fn qreg_size_outside_bounds_is_error() {
+        assert_eq!(from_qasm("qreg q[0];"), Err(QasmError::BadQregSize(1, 0)));
+        let text = "OPENQASM 2.0;\nqreg q[4097];";
+        assert_eq!(from_qasm(text), Err(QasmError::BadQregSize(2, 4097)));
     }
 }

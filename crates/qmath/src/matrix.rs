@@ -142,18 +142,11 @@ impl Matrix {
                 .all(|(a, b)| a.approx_eq(*b, eps))
     }
 
-    /// Overwrites `self` with `src` scaled entry-wise by `s`, reusing the
-    /// existing allocation when its capacity suffices. Used by the
-    /// scale-folding kernel path to avoid a fresh matrix clone per gate.
-    pub fn clone_scaled_from(&mut self, src: &Matrix, s: Complex64) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend(src.data.iter().map(|&v| v * s));
-    }
-
     /// Matrix-vector product into a caller-provided output buffer
-    /// (`out.len() == rows`, `v.len() == cols`). The fused-kernel hot path.
+    /// (`out.len() == rows`, `v.len() == cols`): each output row is one
+    /// serial multiply-add chain from zero, in column order. The generic
+    /// gate-application oracles use it; the hot kernels reproduce its
+    /// operation sequence exactly.
     pub fn mul_vec_into(&self, v: &[Complex64], out: &mut [Complex64]) {
         debug_assert_eq!(v.len(), self.cols);
         debug_assert_eq!(out.len(), self.rows);

@@ -15,19 +15,15 @@
 //! * `apply_*_generic` — the allocation-per-call gather/multiply/scatter
 //!   reference **oracle**. Never dispatches; kept in-tree so the fast
 //!   paths have something to be differentially (and bitwise) tested
-//!   against, and so the hotpath bench can measure the gap.
+//!   against, and so the hotpath bench can measure the gap. Only these
+//!   use `Matrix::mul_vec_into`.
 //! * the hot form — [`apply_matrix_with`], [`apply_permutation_with`],
 //!   [`apply_controlled_matrix_with`] (which take a
 //!   [`crate::scratch::Scratch`] arena, so the steady state allocates
 //!   nothing), [`apply_diag`] and [`apply_scale`]. Each is written once,
 //!   over a range of the kernel's independent groups (an element range
-//!   for the diagonal and scale passes), and dispatches on the layout:
-//!   unrolled `k = 1`/`k = 2` kernels, a contiguous low-window path when
-//!   the qubit set is `{0, …, k-1}` (the layout the kernelizer's
-//!   shared-memory constraint produces — groups are contiguous
-//!   `2^k`-amplitude chunks the compiler can stream), and the generic
-//!   gather form with memoized offset tables otherwise. A call on a
-//!   one-thread [`Pool`], or below [`PARALLEL_GROUP_CUTOFF`] groups
+//!   for the diagonal and scale passes). A call on a one-thread
+//!   [`Pool`], or below [`PARALLEL_GROUP_CUTOFF`] groups
 //!   ([`PARALLEL_ELEMENT_CUTOFF`] elements), runs the full range on the
 //!   caller; otherwise the range is split into [`Pool::threads`]
 //!   contiguous pieces run as pool items.
@@ -39,6 +35,43 @@
 //! group's amplitudes, so fast and generic forms — and every split of a
 //! range across threads — produce byte-identical amplitudes (pinned by
 //! `tests/hotpath_exactness.rs` and `tests/determinism_threads.rs`).
+//!
+//! ## The dense multiply
+//!
+//! A dense kernel with `k = 1` or `k = 2` runs an unrolled kernel with
+//! the matrix in registers. Every `k ≥ 3` kernel — whatever its qubit
+//! layout — and the target sub-matrix of every controlled kernel run one
+//! **register-blocked group multiply** (`DenseGroups`):
+//!
+//! 1. once per call, the matrix is written into a pooled scratch buffer
+//!    as two arrays, real parts and imaginary parts, each transposed per
+//!    block of 8 rows, so a block's column is 8 consecutive `f64`s;
+//! 2. per group, the `2^k` amplitudes are gathered through the memoized
+//!    offset table into split re/im windows;
+//! 3. 8 output rows at a time are computed with 8 independent
+//!    accumulators per part, then scattered back.
+//!
+//! The generic oracle accumulates each output row as one serial chain of
+//! complex multiply-adds, so every add waits on the previous one. The
+//! blocked form runs 8 such chains side by side, which fills the
+//! floating-point pipeline and lets the compiler put the 8 lanes in SIMD
+//! registers — but each chain is still exactly the oracle's chain for its
+//! row: it starts from `0.0` and, in column order, computes
+//! `re = (re + mr·xr) − mi·xi` and `im = (im + mr·xi) + mi·xr`, the
+//! operations and order of `Complex64::mul_add`. Same IEEE operations on
+//! the same operands in the same order give the same bits, so the blocked
+//! multiply is byte-identical to the oracle with no tolerance and no
+//! option. For the same reason it never uses FMA: a fused multiply-add
+//! rounds once where the oracle rounds twice, which would change bits
+//! (Rust never contracts `a * b + c` on its own).
+//!
+//! The body is written once. On x86_64 it is compiled a second time
+//! inside a `#[target_feature(enable = "avx2")]` wrapper, chosen per call
+//! with `is_x86_feature_detected!("avx2")`; elsewhere, or without AVX2,
+//! the baseline compilation runs. This is a platform choice, not a knob:
+//! AVX2 lanes perform the same scalar IEEE operations, so the output bits
+//! do not depend on the host (pinned by the
+//! `avx2_and_portable_dense_bodies_are_bit_identical` unit test).
 
 use crate::pool::Pool;
 use crate::scratch::{self, Scratch};
@@ -69,35 +102,36 @@ pub const PARALLEL_GROUP_CUTOFF: usize = 1024;
 pub const PARALLEL_ELEMENT_CUTOFF: usize = 1 << 16;
 
 /// Shared view of an amplitude slice through which the pieces of a split
-/// kernel write disjoint indices concurrently (also used to hand each
-/// piece its own gather window of one scratch buffer).
+/// kernel write disjoint indices concurrently (also used, with `T = f64`
+/// or `T = Complex64`, to hand each piece its own window of one scratch
+/// buffer).
 ///
 /// Group `g` of a kernel over a duplicate-free qubit set touches exactly
 /// the indices `insert_bits(g, sorted) | deposit_bits(x, qubits)` for
 /// `x < 2^k`. Those sets are disjoint for distinct `g` (the non-kernel
 /// bits differ) and partition the slice, so pieces owning disjoint group
 /// ranges never touch the same amplitude.
-struct AmpCell<'a>(&'a [UnsafeCell<Complex64>]);
+struct AmpCell<'a, T = Complex64>(&'a [UnsafeCell<T>]);
 // Group kernels check the duplicate-freedom this relies on with
 // `assert_distinct`; `atlas-analyze` also proves it for every compiled
 // op (`effect_of`).
 // SAFETY: all access goes through `read`, `write` and `slice_mut`, whose
 // contracts confine callers to indices their piece owns — pieces get
 // disjoint ranges, and a kernel's groups partition the slice (see above).
-unsafe impl Sync for AmpCell<'_> {}
+unsafe impl<T: Send> Sync for AmpCell<'_, T> {}
 
-impl<'a> AmpCell<'a> {
-    fn new(amps: &'a mut [Complex64]) -> Self {
-        // SAFETY: Complex64 and UnsafeCell<Complex64> have identical
-        // layout, and the exclusive borrow is held for `'a`.
-        let ptr = amps.as_mut_ptr() as *const UnsafeCell<Complex64>;
+impl<'a, T: Copy> AmpCell<'a, T> {
+    fn new(amps: &'a mut [T]) -> Self {
+        // SAFETY: T and UnsafeCell<T> have identical layout, and the
+        // exclusive borrow is held for `'a`.
+        let ptr = amps.as_mut_ptr() as *const UnsafeCell<T>;
         AmpCell(unsafe { std::slice::from_raw_parts(ptr, amps.len()) })
     }
 
     /// # Safety
     /// Caller must guarantee `idx` is not written concurrently.
     #[inline(always)]
-    unsafe fn read(&self, idx: usize) -> Complex64 {
+    unsafe fn read(&self, idx: usize) -> T {
         // SAFETY: caller contract — no concurrent write to `idx`.
         unsafe { *self.0[idx].get() }
     }
@@ -105,7 +139,7 @@ impl<'a> AmpCell<'a> {
     /// # Safety
     /// Caller must guarantee `idx` is not accessed concurrently.
     #[inline(always)]
-    unsafe fn write(&self, idx: usize, v: Complex64) {
+    unsafe fn write(&self, idx: usize, v: T) {
         // SAFETY: caller contract — no concurrent access to `idx`.
         unsafe { *self.0[idx].get() = v }
     }
@@ -115,7 +149,7 @@ impl<'a> AmpCell<'a> {
     /// other path while the returned slice lives.
     #[inline(always)]
     #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, lo: usize, hi: usize) -> &mut [Complex64] {
+    unsafe fn slice_mut(&self, lo: usize, hi: usize) -> &mut [T] {
         let cells = &self.0[lo..hi];
         // SAFETY: caller contract — exclusive access to `lo..hi`; the
         // layout is identical (see `new`).
@@ -144,17 +178,17 @@ fn assert_distinct(qubits: &[u32]) {
 /// `pool`. Each call gets its own `window_len`-element window of `buf`
 /// as gather/output scratch, so pieces share no mutable state and the
 /// split changes nothing but which thread computes which group.
-fn run_ranges(
-    buf: &mut Vec<Complex64>,
+fn run_ranges<T: Copy + Default + Send>(
+    buf: &mut Vec<T>,
     pool: &Pool,
     units: usize,
     cutoff: usize,
     window_len: usize,
-    body: impl Fn(usize, usize, &mut [Complex64]) + Sync,
+    body: impl Fn(usize, usize, &mut [T]) + Sync,
 ) {
     let pieces = if units < cutoff { 1 } else { pool.threads() };
     buf.clear();
-    buf.resize(pieces * window_len, Complex64::ZERO);
+    buf.resize(pieces * window_len, T::default());
     if pieces == 1 {
         return body(0, units, buf);
     }
@@ -165,6 +199,18 @@ fn run_ranges(
         let window = unsafe { windows.slice_mut(i * window_len, (i + 1) * window_len) };
         body((i * span).min(units), ((i + 1) * span).min(units), window);
     });
+}
+
+/// [`run_ranges`] for kernels that need no scratch window.
+fn run_plain(pool: &Pool, units: usize, cutoff: usize, body: impl Fn(usize, usize) + Sync) {
+    run_ranges(
+        &mut Vec::<()>::new(),
+        pool,
+        units,
+        cutoff,
+        0,
+        |lo, hi, _| body(lo, hi),
+    );
 }
 
 /// Applies an arbitrary unitary `m` over `qubits` (matrix bit `t` =
@@ -205,10 +251,10 @@ pub fn apply_matrix_generic(amps: &mut [Complex64], qubits: &[u32], m: &Matrix) 
 }
 
 /// [`apply_matrix`] with an explicit scratch arena and pool — the
-/// zero-allocation hot form. Dispatch order: unrolled `k = 1`, unrolled
-/// `k = 2`, contiguous low-window chunks, generic gather with a memoized
-/// offset table. All branches are byte-identical to
-/// [`apply_matrix_generic`], for every split of the groups over `pool`.
+/// zero-allocation hot form. `k = 1` and `k = 2` run unrolled kernels;
+/// every `k ≥ 3` runs the register-blocked group multiply (see the
+/// module docs). Both are byte-identical to [`apply_matrix_generic`],
+/// for every split of the groups over `pool`.
 pub fn apply_matrix_with(
     scratch: &mut Scratch,
     amps: &mut [Complex64],
@@ -216,88 +262,62 @@ pub fn apply_matrix_with(
     m: &Matrix,
     pool: &Pool,
 ) {
+    apply_matrix_scaled_with(scratch, amps, qubits, m, None, pool);
+}
+
+/// [`apply_matrix_with`] for the matrix `m · scale` (entry-wise, each
+/// entry rounded once as `m[(r, c)] * scale`), without materializing the
+/// scaled matrix: the entries are scaled as the kernel packs them.
+pub(crate) fn apply_matrix_scaled_with(
+    scratch: &mut Scratch,
+    amps: &mut [Complex64],
+    qubits: &[u32],
+    m: &Matrix,
+    scale: Option<Complex64>,
+    pool: &Pool,
+) {
     let k = qubits.len();
     assert_eq!(m.rows(), 1 << k, "matrix size does not match qubit count");
     assert_distinct(qubits);
+    let entry = |r: usize, c: usize| match scale {
+        Some(s) => m[(r, c)] * s,
+        None => m[(r, c)],
+    };
     let groups = amps.len() >> k;
     let cell = &AmpCell::new(amps);
     let cutoff = PARALLEL_GROUP_CUTOFF;
     match k {
         1 => {
-            let q = qubits[0];
-            return run_ranges(&mut Vec::new(), pool, groups, cutoff, 0, |lo, hi, _| {
-                matrix_1q_range(cell, q, m, lo, hi)
+            let (q, mm) = (qubits[0], square(entry));
+            return run_plain(pool, groups, cutoff, |lo, hi| {
+                matrix_1q_range(cell, q, &mm, lo, hi)
             });
         }
         2 => {
-            let (q0, q1) = (qubits[0], qubits[1]);
-            return run_ranges(&mut Vec::new(), pool, groups, cutoff, 0, |lo, hi, _| {
-                matrix_2q_range(cell, q0, q1, m, lo, hi)
+            let (q0, q1, mm) = (qubits[0], qubits[1], square(entry));
+            return run_plain(pool, groups, cutoff, |lo, hi| {
+                matrix_2q_range(cell, q0, q1, &mm, lo, hi)
             });
         }
         _ => {}
     }
-    let dim = 1usize << k;
     let (bufs, tables) = scratch.split();
     let table = tables.lookup(qubits);
-    run_ranges(
-        &mut bufs.windows,
-        pool,
-        groups,
-        cutoff,
-        2 * dim,
-        |lo, hi, window| {
-            let (inbuf, outbuf) = window.split_at_mut(dim);
-            if table.low_window {
-                // SAFETY: groups `lo..hi` of a low-window kernel are exactly
-                // the contiguous chunks `lo·2^k..hi·2^k`, owned by this piece.
-                let chunks = unsafe { cell.slice_mut(lo << k, hi << k) };
-                if table.identity_order {
-                    // The matrix basis order matches the memory order: no
-                    // gather — a straight sweep the compiler can vectorize.
-                    for chunk in chunks.chunks_exact_mut(dim) {
-                        m.mul_vec_into(chunk, outbuf);
-                        chunk.copy_from_slice(outbuf);
-                    }
-                    return;
-                }
-                // The basis order is a permutation of the memory order: the
-                // gather stays chunk-local.
-                for chunk in chunks.chunks_exact_mut(dim) {
-                    for (x, &off) in table.offsets.iter().enumerate() {
-                        inbuf[x] = chunk[off as usize];
-                    }
-                    m.mul_vec_into(inbuf, outbuf);
-                    for (x, &off) in table.offsets.iter().enumerate() {
-                        chunk[off as usize] = outbuf[x];
-                    }
-                }
-                return;
-            }
-            for g in lo as u64..hi as u64 {
-                let base = insert_bits(g, &table.sorted);
-                for (x, off) in table.offsets.iter().enumerate() {
-                    // SAFETY: group `g` is owned by this piece (disjoint groups
-                    // touch disjoint indices, see `AmpCell`).
-                    inbuf[x] = unsafe { cell.read((base | off) as usize) };
-                }
-                m.mul_vec_into(inbuf, outbuf);
-                for (x, off) in table.offsets.iter().enumerate() {
-                    // SAFETY: as above.
-                    unsafe { cell.write((base | off) as usize, outbuf[x]) };
-                }
-            }
-        },
-    );
+    let kernel = DenseGroups::pack(&mut bufs.split, &table.sorted, 0, &table.offsets, entry);
+    kernel.run(&mut bufs.lanes, cell, pool, groups);
+}
+
+/// The `D × D` entries of a matrix as a register-friendly array.
+fn square<const D: usize>(entry: impl Fn(usize, usize) -> Complex64) -> [[Complex64; D]; D] {
+    std::array::from_fn(|r| std::array::from_fn(|c| entry(r, c)))
 }
 
 /// Unrolled dense single-qubit kernel over groups `lo..hi`,
 /// byte-identical to the generic path: each output is accumulated
 /// `ZERO → +m·a` in matrix-column order, exactly like
 /// `Matrix::mul_vec_into`.
-fn matrix_1q_range(cell: &AmpCell, q: u32, m: &Matrix, lo: usize, hi: usize) {
-    let (m00, m01) = (m[(0, 0)], m[(0, 1)]);
-    let (m10, m11) = (m[(1, 0)], m[(1, 1)]);
+fn matrix_1q_range(cell: &AmpCell, q: u32, m: &[[Complex64; 2]; 2], lo: usize, hi: usize) {
+    let [[m00, m01], [m10, m11]] = *m;
     if q == 0 {
         // SAFETY: group `g` is the pair `2g, 2g+1`; this piece owns
         // groups `lo..hi`.
@@ -324,16 +344,17 @@ fn matrix_1q_range(cell: &AmpCell, q: u32, m: &Matrix, lo: usize, hi: usize) {
 
 /// Unrolled dense two-qubit kernel (matrix bit 0 = `q0`, bit 1 = `q1`)
 /// over groups `lo..hi`, byte-identical to the generic path.
-fn matrix_2q_range(cell: &AmpCell, q0: u32, q1: u32, m: &Matrix, lo: usize, hi: usize) {
+fn matrix_2q_range(
+    cell: &AmpCell,
+    q0: u32,
+    q1: u32,
+    mm: &[[Complex64; 4]; 4],
+    lo: usize,
+    hi: usize,
+) {
     let s0 = 1usize << q0;
     let s1 = 1usize << q1;
     let sorted = if q0 < q1 { [q0, q1] } else { [q1, q0] };
-    let mut mm = [[Complex64::ZERO; 4]; 4];
-    for (r, row) in mm.iter_mut().enumerate() {
-        for (c, v) in row.iter_mut().enumerate() {
-            *v = m[(r, c)];
-        }
-    }
     let mul = |row: &[Complex64; 4], a: &[Complex64; 4]| {
         row[3].mul_add(
             a[3],
@@ -373,6 +394,160 @@ fn matrix_2q_range(cell: &AmpCell, q0: u32, q1: u32, m: &Matrix, lo: usize, hi: 
             }
         }
     }
+}
+
+/// Output rows per register block of the dense group multiply: each
+/// block keeps `BLOCK` independent accumulators per part, so the adds of
+/// one row no longer wait on each other.
+const BLOCK: usize = 8;
+
+/// One dense kernel ready to run: group addressing plus the matrix in the
+/// split block layout (see [`DenseGroups::pack`]).
+struct DenseGroups<'a> {
+    /// `insert_bits` positions: the sorted kernel (plus control) qubits.
+    sorted: &'a [u32],
+    /// Bits forced to 1 in every group base (controls; 0 for a plain
+    /// dense kernel).
+    cmask: u64,
+    /// In-group offset of matrix basis index `x` (gate order).
+    offsets: &'a [u64],
+    /// Real parts, block-major (see [`DenseGroups::pack`]).
+    re: &'a [f64],
+    /// Imaginary parts, same layout as `re`.
+    im: &'a [f64],
+}
+
+impl<'a> DenseGroups<'a> {
+    /// Writes the `dim × dim` matrix `entry` into `split` — the real parts,
+    /// then the imaginary parts — each transposed per block of
+    /// `min(dim, BLOCK)` rows: block `b`, column `c`, row `j` of the block
+    /// sits at `(b·dim + c)·rows + j`. The multiply then streams both
+    /// arrays front to back.
+    fn pack(
+        split: &'a mut Vec<f64>,
+        sorted: &'a [u32],
+        cmask: u64,
+        offsets: &'a [u64],
+        entry: impl Fn(usize, usize) -> Complex64,
+    ) -> Self {
+        let dim = offsets.len();
+        let rows = dim.min(BLOCK);
+        split.clear();
+        split.resize(2 * dim * dim, 0.0);
+        let (re, im) = split.split_at_mut(dim * dim);
+        for r in 0..dim {
+            for c in 0..dim {
+                let at = ((r / rows) * dim + c) * rows + r % rows;
+                let v = entry(r, c);
+                (re[at], im[at]) = (v.re, v.im);
+            }
+        }
+        let (re, im) = (&*re, &*im);
+        DenseGroups {
+            sorted,
+            cmask,
+            offsets,
+            re,
+            im,
+        }
+    }
+
+    /// Runs groups `0..groups` over `pool` (see [`run_ranges`]), each piece
+    /// with its own split re/im gather window in `lanes`.
+    fn run(&self, lanes: &mut Vec<f64>, cell: &AmpCell, pool: &Pool, groups: usize) {
+        let avx2 = has_avx2();
+        let dim = self.offsets.len();
+        run_ranges(
+            lanes,
+            pool,
+            groups,
+            PARALLEL_GROUP_CUTOFF,
+            2 * dim,
+            |lo, hi, x| self.range(avx2, cell, x, lo, hi),
+        );
+    }
+
+    /// Groups `lo..hi`, through the AVX2 compilation of the body when
+    /// `avx2` (which the caller must have detected on this CPU).
+    fn range(&self, avx2: bool, cell: &AmpCell, x: &mut [f64], lo: usize, hi: usize) {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: `avx2` is only set when the CPU reports AVX2.
+            return unsafe { self.range_avx2(cell, x, lo, hi) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = avx2;
+        self.body(cell, x, lo, hi)
+    }
+
+    /// The same body compiled with AVX2 enabled: 4-lane vectors, the
+    /// same scalar IEEE operations per lane, no FMA.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn range_avx2(&self, cell: &AmpCell, x: &mut [f64], lo: usize, hi: usize) {
+        self.body(cell, x, lo, hi)
+    }
+
+    /// The body, inlined into each compilation: `R = BLOCK` rows per
+    /// block, or the whole (smaller) matrix as one block.
+    #[inline(always)]
+    fn body(&self, cell: &AmpCell, x: &mut [f64], lo: usize, hi: usize) {
+        match self.offsets.len() {
+            1 => self.blocked::<1>(cell, x, lo, hi),
+            2 => self.blocked::<2>(cell, x, lo, hi),
+            4 => self.blocked::<4>(cell, x, lo, hi),
+            _ => self.blocked::<BLOCK>(cell, x, lo, hi),
+        }
+    }
+
+    /// Gathers each group into the split window `x` (real parts, then
+    /// imaginary parts), computes `R` output rows at a time and scatters
+    /// them. Each accumulator runs the generic oracle's operation
+    /// sequence for its output row: from `0.0`, in column order,
+    /// `re = (re + mr·xr) − mi·xi` and `im = (im + mr·xi) + mi·xr`.
+    #[inline(always)]
+    fn blocked<const R: usize>(&self, cell: &AmpCell, x: &mut [f64], lo: usize, hi: usize) {
+        let dim = self.offsets.len();
+        let (xr, xi) = x.split_at_mut(dim);
+        let (re_blocks, _) = self.re.as_chunks::<R>();
+        let (im_blocks, _) = self.im.as_chunks::<R>();
+        for g in lo as u64..hi as u64 {
+            let base = insert_bits(g, self.sorted) | self.cmask;
+            for ((r, i), off) in xr.iter_mut().zip(xi.iter_mut()).zip(self.offsets) {
+                // SAFETY: group `g` is owned by this piece (disjoint groups
+                // touch disjoint indices, see `AmpCell`).
+                let a = unsafe { cell.read((base | off) as usize) };
+                (*r, *i) = (a.re, a.im);
+            }
+            let blocks = re_blocks.chunks_exact(dim).zip(im_blocks.chunks_exact(dim));
+            for ((mre, mim), outs) in blocks.zip(self.offsets.chunks_exact(R)) {
+                let (mut re, mut im) = ([0.0f64; R], [0.0f64; R]);
+                for ((mr, mi), (&a, &b)) in mre.iter().zip(mim).zip(xr.iter().zip(xi.iter())) {
+                    for j in 0..R {
+                        re[j] = (re[j] + mr[j] * a) - mi[j] * b;
+                        im[j] = (im[j] + mr[j] * b) + mi[j] * a;
+                    }
+                }
+                for (j, off) in outs.iter().enumerate() {
+                    // SAFETY: as above; the inputs were gathered into `x`.
+                    unsafe { cell.write((base | off) as usize, Complex64::new(re[j], im[j])) };
+                }
+            }
+        }
+    }
+}
+
+/// `true` when the blocked dense multiply may run its AVX2 compilation
+/// on this CPU. A platform choice, not a knob: both compilations produce
+/// the same bits.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// Applies a general single-qubit unitary to qubit `q`.
@@ -416,20 +591,13 @@ pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], po
     assert_eq!(diag.len(), 1 << qubits.len());
     let len = amps.len();
     let cell = &AmpCell::new(amps);
-    run_ranges(
-        &mut Vec::new(),
-        pool,
-        len,
-        PARALLEL_ELEMENT_CUTOFF,
-        0,
-        |lo, hi, _| {
-            // SAFETY: elements `lo..hi` are owned by this piece.
-            let part = unsafe { cell.slice_mut(lo, hi) };
-            for (i, a) in (lo..hi).zip(part) {
-                *a *= diag[extract_bits(i as u64, qubits) as usize];
-            }
-        },
-    );
+    run_plain(pool, len, PARALLEL_ELEMENT_CUTOFF, |lo, hi| {
+        // SAFETY: elements `lo..hi` are owned by this piece.
+        let part = unsafe { cell.slice_mut(lo, hi) };
+        for (i, a) in (lo..hi).zip(part) {
+            *a *= diag[extract_bits(i as u64, qubits) as usize];
+        }
+    });
 }
 
 /// Multiplies every amplitude by `factor`, split over `pool` above
@@ -437,19 +605,12 @@ pub fn apply_diag(amps: &mut [Complex64], qubits: &[u32], diag: &[Complex64], po
 pub fn apply_scale(amps: &mut [Complex64], factor: Complex64, pool: &Pool) {
     let len = amps.len();
     let cell = &AmpCell::new(amps);
-    run_ranges(
-        &mut Vec::new(),
-        pool,
-        len,
-        PARALLEL_ELEMENT_CUTOFF,
-        0,
-        |lo, hi, _| {
-            // SAFETY: elements `lo..hi` are owned by this piece.
-            for a in unsafe { cell.slice_mut(lo, hi) } {
-                *a *= factor;
-            }
-        },
-    );
+    run_plain(pool, len, PARALLEL_ELEMENT_CUTOFF, |lo, hi| {
+        // SAFETY: elements `lo..hi` are owned by this piece.
+        for a in unsafe { cell.slice_mut(lo, hi) } {
+            *a *= factor;
+        }
+    });
 }
 
 /// Applies a single-qubit unitary `u` on `target`, controlled on all bits of
@@ -622,9 +783,10 @@ pub fn apply_controlled_matrix_generic(
 
 /// [`apply_controlled_matrix`] with an explicit scratch arena and pool
 /// (memoized target-offset table, pooled qubit buffer for the control ∪
-/// target set). Byte-identical to [`apply_controlled_matrix_generic`];
-/// the subspace skip already makes this kernel cheap, so there is no
-/// further layout specialization.
+/// target set). The target sub-matrix runs through the same blocked
+/// group multiply as a dense `k ≥ 3` kernel, on the subspace where every
+/// control bit is set. Byte-identical to
+/// [`apply_controlled_matrix_generic`].
 pub fn apply_controlled_matrix_with(
     scratch: &mut Scratch,
     amps: &mut [Complex64],
@@ -640,34 +802,13 @@ pub fn apply_controlled_matrix_with(
     all.extend(controls.iter().chain(targets).copied());
     all.sort_unstable();
     assert_distinct(&all);
-    let dim = 1usize << kt;
     let groups = amps.len() >> all.len();
     let cell = &AmpCell::new(amps);
     let (bufs, tables) = scratch.split();
     let table = tables.lookup(targets);
-    let cutoff = PARALLEL_GROUP_CUTOFF;
-    run_ranges(
-        &mut bufs.windows,
-        pool,
-        groups,
-        cutoff,
-        2 * dim,
-        |lo, hi, window| {
-            let (inbuf, outbuf) = window.split_at_mut(dim);
-            for g in lo as u64..hi as u64 {
-                let base = insert_bits(g, &all) | cmask;
-                for (x, off) in table.offsets.iter().enumerate() {
-                    // SAFETY: group `g` is owned by this piece.
-                    inbuf[x] = unsafe { cell.read((base | off) as usize) };
-                }
-                m.mul_vec_into(inbuf, outbuf);
-                for (x, off) in table.offsets.iter().enumerate() {
-                    // SAFETY: as above.
-                    unsafe { cell.write((base | off) as usize, outbuf[x]) };
-                }
-            }
-        },
-    );
+    let entry = |r, c| m[(r, c)];
+    let kernel = DenseGroups::pack(&mut bufs.split, &all, cmask, &table.offsets, entry);
+    kernel.run(&mut bufs.lanes, cell, pool, groups);
     scratch.put_qubits(all);
 }
 
@@ -892,9 +1033,9 @@ mod tests {
 
     #[test]
     fn dispatched_apply_matrix_is_bitwise_equal_to_generic() {
-        // One case per dispatch branch: unrolled k=1 (contiguous and
-        // strided), unrolled k=2 (both orders), identity-order window,
-        // permuted low window, and the strided generic fallback.
+        // Unrolled k=1 (contiguous and strided), unrolled k=2 (both
+        // orders), and the blocked k ≥ 3 multiply over an identity-order
+        // window, a permuted low window and strided qubits.
         let mut prep = Circuit::new(8);
         for q in 0..8 {
             prep.h(q).rz(0.13 * (q + 1) as f64, q).t(q);
@@ -1058,10 +1199,17 @@ mod tests {
             for qs in [[4u32, 10], [1, 0]] {
                 both(&mut |s, amps, p| apply_permutation_with(s, amps, &qs, &dst, &phase, p));
             }
-            // Controlled.
+            // Controlled, with one target and with three (the blocked
+            // multiply's full 8-row blocks).
             let ry = GateKind::RY(0.8).matrix();
             both(&mut |s, amps, p| apply_controlled_matrix_with(s, amps, &[1], &[8], &ry, p));
-            // Dense, one per layout branch.
+            let targets = [8u32, 3, 12];
+            let mut tc = Circuit::new(n);
+            tc.h(8).cx(8, 3).ry(0.4, 12).cx(3, 12);
+            let m3 = crate::fused::fuse_gates(&targets, tc.gates());
+            both(&mut |s, amps, p| apply_controlled_matrix_with(s, amps, &[1], &targets, &m3, p));
+            // Dense: unrolled k ≤ 2 and the blocked multiply over each
+            // qubit layout.
             for qs in [
                 vec![0],
                 vec![0, 1],
@@ -1080,6 +1228,45 @@ mod tests {
             // Scale.
             both(&mut |_, amps, p| apply_scale(amps, Complex64::cis(0.4), p));
         });
+    }
+
+    /// The AVX2 compilation of the blocked dense body must give the same
+    /// bits as the portable one, so output never depends on the host.
+    #[test]
+    fn avx2_and_portable_dense_bodies_are_bit_identical() {
+        if !has_avx2() {
+            eprintln!("skipped: this CPU has no AVX2");
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        for k in 3..=7usize {
+            let n = k as u32 + 3;
+            let qs: Vec<u32> = (0..k as u32).map(|i| (2 * i + 1) % n).collect();
+            let mut kc = Circuit::new(n);
+            for (i, &q) in qs.iter().enumerate() {
+                kc.h(q).rz(0.21 + 0.7 * i as f64, q).ry(0.05 * k as f64, q);
+                if i > 0 {
+                    kc.cx(qs[i - 1], q);
+                }
+            }
+            let m = crate::fused::fuse_gates(&qs, kc.gates());
+            let mut portable = dense_prep(n, 0.11 * k as f64);
+            let mut avx2 = portable.clone();
+            let mut s = Scratch::new();
+            let (bufs, tables) = s.split();
+            let table = tables.lookup(&qs);
+            let entry = |r, c| m[(r, c)];
+            let kernel =
+                DenseGroups::pack(&mut bufs.split, &table.sorted, 0, &table.offsets, entry);
+            let groups = portable.amplitudes().len() >> k;
+            let mut x = vec![0.0; 2 << k];
+            let cell = AmpCell::new(portable.amplitudes_mut());
+            kernel.body(&cell, &mut x, 0, groups);
+            let cell = AmpCell::new(avx2.amplitudes_mut());
+            // SAFETY: `has_avx2()` held above.
+            unsafe { kernel.range_avx2(&cell, &mut x, 0, groups) };
+            assert_bits_eq(&portable, &avx2);
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! the same thing cuQuantum's apply-matrix does on a real GPU.
 
 use crate::apply::{
-    apply_controlled_matrix_with, apply_diag, apply_matrix_with, apply_permutation_with,
-    apply_scale,
+    apply_controlled_matrix_with, apply_diag, apply_matrix_scaled_with, apply_matrix_with,
+    apply_permutation_with, apply_scale,
 };
 use crate::pool::Pool;
 use crate::scratch::Scratch;
@@ -117,9 +117,8 @@ pub enum FastKernel {
         /// The unitary over `targets`, already projected.
         matrix: Matrix,
     },
-    /// No exploitable *algebraic* structure — dense multiply. At apply
-    /// time this still dispatches on **layout** (unrolled `k ≤ 2`,
-    /// contiguous low-window chunks, generic gather; see
+    /// No exploitable *algebraic* structure — dense multiply: unrolled
+    /// for `k ≤ 2`, the register-blocked group multiply otherwise (see
     /// [`crate::apply::apply_matrix_with`]).
     Dense(Matrix),
 }
@@ -250,10 +249,11 @@ pub fn apply_kernel(amps: &mut [Complex64], qubits: &[u32], kernel: &FastKernel,
 }
 
 /// [`apply_kernel`] with an explicit scratch arena and pool: scaled
-/// diagonals, phases and matrices go into pooled buffers instead of
-/// per-call allocations, the dense/permutation/controlled sub-kernels
-/// reuse the arena's offset tables, and each pass is split over `pool`
-/// when it is large enough (see [`crate::apply`]).
+/// diagonals and phases go into pooled buffers instead of per-call
+/// allocations, a dense matrix is scaled as the kernel packs it, the
+/// dense/permutation/controlled sub-kernels reuse the arena's offset
+/// tables, and each pass is split over `pool` when it is large enough
+/// (see [`crate::apply`]).
 pub fn apply_kernel_with(
     scratch: &mut Scratch,
     amps: &mut [Complex64],
@@ -311,14 +311,8 @@ pub fn apply_kernel_with(
             scratch.put_qubits(cphys);
         }
         FastKernel::Dense(m) => {
-            if fold {
-                let mut scaled = scratch.take_matrix();
-                scaled.clone_scaled_from(m, scale);
-                apply_matrix_with(scratch, amps, qubits, &scaled, pool);
-                scratch.put_matrix(scaled);
-            } else {
-                apply_matrix_with(scratch, amps, qubits, m, pool);
-            }
+            let scale = fold.then_some(scale);
+            apply_matrix_scaled_with(scratch, amps, qubits, m, scale, pool);
         }
     }
 }
@@ -542,5 +536,45 @@ mod tests {
         }
         apply_kernel(b.amplitudes_mut(), &kq, &fast, s);
         assert!(a.approx_eq(&b, 1e-12));
+    }
+
+    /// A scaled dense kernel scales each entry as it packs the matrix:
+    /// bitwise the generic oracle on the entry-wise scaled matrix.
+    #[test]
+    fn folded_dense_scale_matches_scaled_matrix_bitwise() {
+        let n = 8;
+        let mut prep = Circuit::new(n);
+        for q in 0..n {
+            prep.h(q).rz(0.17 * (q + 1) as f64, q);
+        }
+        let s = Complex64::cis(0.9);
+        for kq in [vec![3u32], vec![5, 1], vec![6, 0, 3], vec![2, 7, 4, 0, 5]] {
+            let mut c = Circuit::new(n);
+            for (i, &q) in kq.iter().enumerate() {
+                c.h(q).ry(0.3 + i as f64, q);
+                if i > 0 {
+                    c.cx(kq[i - 1], q);
+                }
+            }
+            let fused = fuse_gates(&kq, c.gates());
+            let fast = classify_kernel(&fused);
+            assert!(matches!(fast, FastKernel::Dense(_)), "{kq:?}");
+            let mut scaled = fused.clone();
+            for r in 0..fused.rows() {
+                for col in 0..fused.cols() {
+                    scaled[(r, col)] = fused[(r, col)] * s;
+                }
+            }
+            let mut a = crate::simulate_reference(&prep);
+            let mut b = a.clone();
+            crate::apply::apply_matrix_generic(a.amplitudes_mut(), &kq, &scaled);
+            apply_kernel(b.amplitudes_mut(), &kq, &fast, s);
+            for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
+                assert_eq!(
+                    (x.re.to_bits(), x.im.to_bits()),
+                    (y.re.to_bits(), y.im.to_bits())
+                );
+            }
+        }
     }
 }

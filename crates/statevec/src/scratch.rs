@@ -7,15 +7,15 @@
 //! a steady-state `EXECUTE` applies thousands of kernels whose qubit sets
 //! repeat stage after stage. A [`Scratch`] owns all of it:
 //!
-//! * **buffers** (`windows`/`out_off`) are `clear()` + `resize()`d per
-//!   call, which never reallocates once capacity covers the largest
-//!   kernel seen (kernels are ≤ 7 qubits, so a piece's gather and output
-//!   windows take ≤ 256 entries, times the pool's thread count when a
-//!   kernel is split);
+//! * **buffers** (`windows`/`out_off`/`split`/`lanes`) are `clear()` +
+//!   `resize()`d per call, which never reallocates once capacity covers
+//!   the largest kernel seen (kernels are ≤ 7 qubits, so a piece's gather
+//!   window takes ≤ 256 entries, times the pool's thread count when a
+//!   kernel is split, and the split dense matrix ≤ 2·4^7 `f64`s);
 //! * **offset tables** are memoized per distinct qubit list in a map, so
 //!   the `deposit_bits` scatter arithmetic runs once per (qubit set) and
-//!   the table also records the layout facts the dispatcher needs
-//!   (contiguous low window? identity order?);
+//!   the table also records the layout fact the permutation kernel
+//!   needs (contiguous low window?);
 //! * **pools** hand out owned buffers (`take_*`/`put_*`) for callers that
 //!   nest scratch-using kernels (batched execution, scale folding) and
 //!   therefore cannot share the flat buffers.
@@ -27,22 +27,19 @@
 //! execution performs **zero heap allocations per gate** — asserted by the
 //! counting-allocator test in `tests/hotpath_alloc.rs`.
 
-use atlas_qmath::{deposit_bits, Complex64, Matrix};
+use atlas_qmath::{deposit_bits, Complex64};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Memoized per-qubit-set addressing: the sorted qubit list (for
 /// `insert_bits` group enumeration), the in-group offsets (`deposit_bits`
-/// of every basis index over the qubit list *in gate order*), and the two
-/// layout facts the kernel dispatcher branches on.
+/// of every basis index over the qubit list *in gate order*), and the
+/// layout fact the permutation kernel branches on.
 pub struct OffsetTable {
     /// The qubit list sorted ascending — the `insert_bits` argument.
     pub sorted: Vec<u32>,
     /// `offsets[x] = deposit_bits(x, qubits)` for `x < 2^k` (gate order).
     pub offsets: Vec<u64>,
-    /// `qubits == [0, 1, …, k-1]` exactly: every group is a contiguous
-    /// `2^k` chunk **and** `offsets[x] == x` — no gather at all.
-    pub identity_order: bool,
     /// The qubit *set* is `{0, …, k-1}` (any order): groups are contiguous
     /// `2^k` chunks and every offset stays inside the chunk.
     pub low_window: bool,
@@ -50,13 +47,19 @@ pub struct OffsetTable {
 
 /// Flat reusable buffers for the non-nesting apply kernels.
 pub(crate) struct Bufs {
-    /// One gather (+ dense-multiply output) window per piece of a kernel
-    /// split over a pool, laid out back to back; a single window when the
+    /// One permutation-kernel gather window per piece of a kernel split
+    /// over a pool, laid out back to back; a single window when the
     /// kernel runs whole. The calling thread owns the arena, so pool
     /// workers need no arena of their own.
     pub windows: Vec<Complex64>,
     /// Destination offsets for permutation kernels.
     pub out_off: Vec<u64>,
+    /// The dense kernel's matrix in the split block layout (real parts,
+    /// then imaginary parts), written once per call.
+    pub split: Vec<f64>,
+    /// One split re/im gather window per piece for the dense kernels,
+    /// laid out like `windows`.
+    pub lanes: Vec<f64>,
 }
 
 /// Memo of [`OffsetTable`]s with hit/miss/eviction counters.
@@ -96,11 +99,9 @@ fn build_table(qubits: &[u32]) -> OffsetTable {
     sorted.sort_unstable();
     let offsets: Vec<u64> = (0..1u64 << k).map(|x| deposit_bits(x, qubits)).collect();
     let low_window = sorted.iter().enumerate().all(|(i, &q)| q == i as u32);
-    let identity_order = low_window && qubits.iter().enumerate().all(|(i, &q)| q == i as u32);
     OffsetTable {
         sorted,
         offsets,
-        identity_order,
         low_window,
     }
 }
@@ -157,7 +158,6 @@ pub struct Scratch {
     amp_pool: Vec<Vec<Complex64>>,
     offset_pool: Vec<Vec<u64>>,
     qubit_pool: Vec<Vec<u32>>,
-    mat_pool: Vec<Matrix>,
 }
 
 impl Scratch {
@@ -168,6 +168,8 @@ impl Scratch {
             bufs: Bufs {
                 windows: Vec::new(),
                 out_off: Vec::new(),
+                split: Vec::new(),
+                lanes: Vec::new(),
             },
             tables: Tables {
                 map: HashMap::new(),
@@ -180,7 +182,6 @@ impl Scratch {
             amp_pool: Vec::new(),
             offset_pool: Vec::new(),
             qubit_pool: Vec::new(),
-            mat_pool: Vec::new(),
         }
     }
 
@@ -246,17 +247,6 @@ impl Scratch {
     pub fn put_qubits(&mut self, v: Vec<u32>) {
         self.qubit_pool.push(v);
     }
-
-    /// Takes an owned matrix from the pool (dimensions unspecified; fill
-    /// it with [`Matrix::clone_scaled_from`] before use).
-    pub fn take_matrix(&mut self) -> Matrix {
-        self.mat_pool.pop().unwrap_or_else(|| Matrix::zeros(0, 0))
-    }
-
-    /// Returns a matrix to the pool.
-    pub fn put_matrix(&mut self, m: Matrix) {
-        self.mat_pool.push(m);
-    }
 }
 
 impl Default for Scratch {
@@ -308,14 +298,9 @@ mod tests {
     fn layout_flags_classify_windows() {
         let mut s = Scratch::new();
         let (_, tables) = s.split();
-        assert!(tables.lookup(&[0, 1, 2]).identity_order);
         assert!(tables.lookup(&[0, 1, 2]).low_window);
-        let t = tables.lookup(&[1, 0]);
-        assert!(!t.identity_order);
-        assert!(t.low_window);
-        let t = tables.lookup(&[0, 2]);
-        assert!(!t.identity_order);
-        assert!(!t.low_window);
+        assert!(tables.lookup(&[1, 0]).low_window);
+        assert!(!tables.lookup(&[0, 2]).low_window);
     }
 
     #[test]
@@ -325,7 +310,7 @@ mod tests {
         // Over-wide lists are served transiently, not retained.
         let wide: Vec<u32> = (0..(MEMO_MAX_QUBITS as u32 + 1)).collect();
         let t = tables.lookup(&wide);
-        assert!(t.identity_order);
+        assert!(t.low_window);
         assert!(tables.map.is_empty());
         // Exceeding the entry cap evicts per insert instead of growing
         // (distinct 2-qubit lists, all positions < 64).

@@ -523,15 +523,28 @@ fn error_exit(e: &atlas::core::AtlasError) -> ExitCode {
     })
 }
 
-fn build_circuit(args: &Args) -> Result<Circuit, String> {
+/// Builds the requested circuit. A failure is reported before it is
+/// returned: a QASM file that does not parse exits 7 (`ParseError`),
+/// anything else exits 1.
+fn build_circuit(args: &Args) -> Result<Circuit, ExitCode> {
+    let fail = |msg: String| {
+        eprintln!("error: {msg}");
+        ExitCode::FAILURE
+    };
     if let Some(path) = &args.qasm_path {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        return qasm::from_qasm(&text).map_err(|e| format!("{path}: {e}"));
+        let text = std::fs::read_to_string(path).map_err(|e| fail(format!("{path}: {e}")))?;
+        return qasm::from_qasm(&text).map_err(|e| {
+            error_exit(&AtlasError::ParseError {
+                what: "QASM file",
+                position: None,
+                message: format!("{path}: {e}"),
+            })
+        });
     }
     let name = args
         .family
         .as_deref()
-        .ok_or("need --family or --qasm (try --help)")?;
+        .ok_or_else(|| fail("need --family or --qasm (try --help)".into()))?;
     // The regression-circuit generators ride alongside the Table I
     // families.
     match name {
@@ -540,7 +553,7 @@ fn build_circuit(args: &Args) -> Result<Circuit, String> {
         "clifford" => return Ok(atlas::circuit::generators::clifford(args.n)),
         _ => {}
     }
-    let fam = Family::from_name(name).ok_or_else(|| format!("unknown family '{name}'"))?;
+    let fam = Family::from_name(name).ok_or_else(|| fail(format!("unknown family '{name}'")))?;
     Ok(fam.generate(args.n))
 }
 
@@ -715,10 +728,7 @@ fn main() -> ExitCode {
     }
     let circuit = match build_circuit(&args) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let n = circuit.num_qubits();
     // Build the config first: like the flag-conflict checks above, an

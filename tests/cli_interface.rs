@@ -211,6 +211,26 @@ fn runtime_failures_exit_one() {
     }
 }
 
+/// Untrusted QASM that names a qubit outside its register, repeats a
+/// qubit in one gate, or declares an empty register is a typed parse
+/// error (exit 7), not a panic.
+#[test]
+fn invalid_qasm_exits_parse_error() {
+    let dir = std::env::temp_dir();
+    for (name, text) in [
+        ("range", "qreg q[3];\nh q[7];\n"),
+        ("dup", "qreg q[3];\ncx q[1],q[1];\n"),
+        ("empty", "qreg q[0];\n"),
+    ] {
+        let path = dir.join(format!("atlas-cli-{}-{name}.qasm", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let out = atlas_sim(&["--qasm", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(exit_code(&out), 7, "{name}: {}", stderr(&out));
+        assert!(stderr(&out).contains("line "), "{name}: {}", stderr(&out));
+    }
+}
+
 #[test]
 fn error_variants_map_to_distinct_exit_codes() {
     // CircuitTooSmall: n = 8 but L + G = 7 + log2(4 nodes) = 9.

@@ -2,7 +2,7 @@
 //! in-tree generic oracles.
 //!
 //! The layout-aware kernels in `atlas_statevec::apply` (unrolled `k ≤ 2`,
-//! contiguous low-window chunks, scratch-cached gather) and the
+//! the register-blocked `k ≥ 3` multiply, scratch-cached gather) and the
 //! block-copy relayout in `atlas_machine` are *replacements* for generic
 //! code on the innermost `2^n` sweep — they are only admissible because
 //! they perform the identical floating-point operations in the identical
@@ -76,16 +76,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Dispatched `apply_matrix` (whole, and split over a 4-thread pool)
-    /// is byte-identical to the generic oracle for every k = 1..=5, across
-    /// contiguous (low-window) and strided qubit subsets in random order.
+    /// is byte-identical to the generic oracle for every k = 1..=7 (the
+    /// kernelizer's widest fusion kernel), across contiguous (low-window)
+    /// and strided qubit subsets in random order.
     #[test]
     fn apply_matrix_fast_paths_match_generic_bitwise(
         n in 6u32..11,
-        k in 1usize..6,
+        k in 1usize..8,
         seed in any::<u64>(),
         contiguous in any::<bool>(),
     ) {
-        let k = k.min(n as usize);
+        let n = n.max(k as u32);
         let qs: Vec<u32> = if contiguous {
             // Low window {0..k} in seed-dependent order.
             qubit_subset(k as u32, k, seed)
@@ -141,12 +142,13 @@ proptest! {
     }
 
     /// Scratch-arena `apply_controlled_matrix` matches its generic oracle
-    /// bitwise.
+    /// bitwise, with 1..=4 targets (three or more run the blocked dense
+    /// multiply).
     #[test]
     fn apply_controlled_matrix_matches_generic_bitwise(
         n in 6u32..11,
         kc in 1usize..3,
-        kt in 1usize..3,
+        kt in 1usize..5,
         seed in any::<u64>(),
     ) {
         let all = qubit_subset(n, kc + kt, seed);
