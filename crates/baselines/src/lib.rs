@@ -27,6 +27,7 @@ pub mod swap_based;
 
 use atlas_circuit::Circuit;
 use atlas_core::config::{AtlasConfig, StagingAlgo};
+use atlas_core::session::Planner;
 use atlas_error::AtlasError;
 use atlas_machine::{CostModel, MachineReport, MachineSpec};
 use atlas_statevec::StateVector;
@@ -48,13 +49,7 @@ pub fn hyquas(
     cost: CostModel,
     dry: bool,
 ) -> Result<BaselineOutput, AtlasError> {
-    let mut cfg = AtlasConfig::hyquas_like();
-    cfg.final_unpermute = !dry;
-    let out = atlas_core::simulate(circuit, spec, cost, &cfg, dry)?;
-    Ok(BaselineOutput {
-        report: out.report,
-        state: out.state,
-    })
+    run_atlas_executor(circuit, spec, cost, AtlasConfig::hyquas_like(), dry)
 }
 
 /// HyQuas-like with Atlas' ILP staging (ablation helper: isolates the
@@ -65,13 +60,38 @@ pub fn hyquas_with_ilp_staging(
     cost: CostModel,
     dry: bool,
 ) -> Result<BaselineOutput, AtlasError> {
-    let mut cfg = AtlasConfig::hyquas_like();
-    cfg.staging = StagingAlgo::IlpSearch;
-    cfg.final_unpermute = !dry;
-    let out = atlas_core::simulate(circuit, spec, cost, &cfg, dry)?;
+    let cfg = AtlasConfig {
+        staging: StagingAlgo::IlpSearch,
+        ..AtlasConfig::hyquas_like()
+    };
+    run_atlas_executor(circuit, spec, cost, cfg, dry)
+}
+
+/// Plans `circuit` under `cfg` and runs it on the Atlas executor: the
+/// clock model alone when `dry`, otherwise a functional run that
+/// gathers the final state in the identity layout.
+fn run_atlas_executor(
+    circuit: &Circuit,
+    spec: MachineSpec,
+    cost: CostModel,
+    cfg: AtlasConfig,
+    dry: bool,
+) -> Result<BaselineOutput, AtlasError> {
+    let cfg = AtlasConfig {
+        final_unpermute: !dry,
+        ..cfg
+    };
+    let compiled = Planner::new(spec, cost, cfg).plan(circuit)?;
+    if dry {
+        return Ok(BaselineOutput {
+            report: compiled.dry_run(),
+            state: None,
+        });
+    }
+    let run = compiled.execute(circuit)?;
     Ok(BaselineOutput {
-        report: out.report,
-        state: out.state,
+        report: run.report,
+        state: run.state,
     })
 }
 

@@ -12,12 +12,14 @@
 
 use atlas_bench::{families, geomean, section, write_csv};
 use atlas_core::config::{AtlasConfig, KernelAlgo, StagingAlgo};
+use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};
 
 fn model_time(circuit: &atlas_circuit::Circuit, spec: MachineSpec, cfg: &AtlasConfig) -> f64 {
-    atlas_core::simulate(circuit, spec, CostModel::default(), cfg, true)
+    Planner::new(spec, CostModel::default(), cfg.clone())
+        .plan(circuit)
         .expect("dry run")
-        .report
+        .dry_run()
         .total_secs
 }
 
@@ -91,9 +93,11 @@ fn main() {
         let mut times = Vec::new();
         let mut costs = Vec::new();
         for c in &circuits {
-            let out = atlas_core::simulate(c, spec, CostModel::default(), &cfg, true).unwrap();
-            times.push(out.report.total_secs);
-            costs.push(out.plan.staging_cost as f64 + 1.0);
+            let compiled = Planner::new(spec, CostModel::default(), cfg.clone())
+                .plan(c)
+                .unwrap();
+            times.push(compiled.dry_run().total_secs);
+            costs.push(compiled.plan().staging_cost as f64 + 1.0);
         }
         println!(
             "{c_factor:<8} {:>14.4} {:>18.2}",

@@ -6,7 +6,7 @@
 //! * **kernel** — a dense 5-qubit fused unitary applied to a 24-qubit
 //!   amplitude array via `apply_matrix_with` with its groups split over
 //!   a worker pool started for the call (the intra-shard path);
-//! * **end-to-end** — a functional `simulate` of QAOA-24 on a 2×2-GPU
+//! * **end-to-end** — a functional plan + execute of QAOA-24 on a 2×2-GPU
 //!   shape (8 shards), exercising the shard-parallel engine, the
 //!   `FastKernel` classification and the all-to-all barriers.
 //!
@@ -18,7 +18,7 @@
 
 use atlas_circuit::Circuit;
 use atlas_core::config::AtlasConfig;
-use atlas_core::simulate::simulate;
+use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_qmath::Complex64;
 use atlas_qmath::Matrix;
@@ -72,8 +72,11 @@ fn simulate_qaoa24(threads: usize) {
         threads,
         ..AtlasConfig::default()
     };
-    let out = simulate(&circuit, spec, CostModel::default(), &cfg, false).unwrap();
-    assert!(out.report.kernels > 0);
+    let run = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .and_then(|compiled| compiled.execute(&circuit))
+        .unwrap();
+    assert!(run.report.kernels > 0);
 }
 
 fn bench_parallel(c: &mut Criterion) {

@@ -20,7 +20,7 @@
 //! interpretable across hosts.
 
 use atlas_core::config::AtlasConfig;
-use atlas_core::simulate::simulate;
+use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};
 use atlas_sampler::{Measurements, PauliString, SAMPLE_CHUNK_BITS};
 use criterion::{criterion_group, Criterion};
@@ -41,10 +41,11 @@ fn measurements_for(n: u32, l: u32, threads: usize) -> Measurements {
         final_unpermute: false,
         ..AtlasConfig::default()
     };
-    simulate(&circuit, spec, CostModel::default(), &cfg, false)
-        .expect("simulate")
+    Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .and_then(|compiled| compiled.execute(&circuit))
+        .expect("plan + execute")
         .measurements
-        .expect("functional run")
 }
 
 fn bench_sampling(c: &mut Criterion) {

@@ -16,7 +16,6 @@
 //! from a full run.
 
 use atlas_circuit::{generators, Circuit};
-use atlas_core::backend::SimulatorBackend;
 use atlas_core::config::{AtlasConfig, BackendKind};
 use atlas_core::session::Planner;
 use atlas_machine::{CostModel, MachineSpec};

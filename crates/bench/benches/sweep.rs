@@ -6,16 +6,14 @@
 //! kernelize DP) runs once, then every sweep point pays EXECUTE only —
 //! per-point execute time is reported *excluding* planning, which is
 //! the property the API exists to provide. For contrast the JSON also
-//! records the one-shot `simulate()` cost per point (plan + execute
-//! fused, the pre-session behavior) and the resulting amortization
-//! factor.
+//! records the one-shot cost per point (plan + execute for every point,
+//! the pre-session behavior) and the resulting amortization factor.
 //!
 //! Single-core CI containers record `host_cpus` so wall-clock numbers
 //! stay interpretable across hosts.
 
 use atlas_core::config::AtlasConfig;
 use atlas_core::session::Planner;
-use atlas_core::simulate::simulate;
 use atlas_machine::{CostModel, MachineSpec};
 use criterion::{criterion_group, Criterion};
 use std::time::Instant;
@@ -71,7 +69,7 @@ fn sweep_shape_json(n: u32, host_cpus: usize) -> String {
         .threads(host_cpus.min(8))
         .build()
         .expect("valid config");
-    let planner = Planner::new(spec, CostModel::default(), cfg.clone());
+    let planner = Planner::new(spec, CostModel::default(), cfg);
 
     // PARTITION once, timed.
     let t = Instant::now();
@@ -89,9 +87,12 @@ fn sweep_shape_json(n: u32, host_cpus: usize) -> String {
     }
     let mean_execute = execute_secs.iter().sum::<f64>() / POINTS as f64;
 
-    // The pre-session one-shot path for contrast: plan + execute fused.
+    // The pre-session one-shot path for contrast: plan + execute per point.
     let one_shot_secs = best_of(1, || {
-        simulate(&base, spec, CostModel::default(), &cfg, false).expect("simulate");
+        planner
+            .plan(&base)
+            .and_then(|compiled| compiled.execute(&base))
+            .expect("plan + execute");
     });
 
     let sweep_session = plan_secs + execute_secs.iter().sum::<f64>();

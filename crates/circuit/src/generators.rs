@@ -113,6 +113,81 @@ impl Family {
     }
 }
 
+/// A circuit generator over `n` qubits.
+type Generator = fn(u32) -> Circuit;
+
+/// Every generator reachable by name — the Table I/II families plus the
+/// `qaoa`, `grover` and `clifford` regression circuits — with the
+/// smallest `n` each accepts.
+const BY_NAME: [(&str, u32, Generator); 15] = [
+    ("ae", 2, ae),
+    ("dj", 2, dj),
+    ("ghz", 1, ghz),
+    ("graphstate", 3, graphstate),
+    ("ising", 2, ising),
+    ("qft", 1, qft),
+    ("qpeexact", 2, qpeexact),
+    ("qsvm", 2, qsvm),
+    ("su2random", 2, su2random),
+    ("vqc", 4, vqc),
+    ("wstate", 2, wstate),
+    ("hhl", 4, hhl),
+    ("qaoa", 3, qaoa),
+    ("grover", 2, grover),
+    ("clifford", 2, clifford),
+];
+
+/// Errors from [`by_name`].
+#[derive(Debug, PartialEq)]
+pub enum GeneratorError {
+    /// No generator has this name.
+    UnknownFamily(String),
+    /// `n` is below the family's minimum or above
+    /// [`Circuit::MAX_QUBITS`].
+    QubitsOutOfRange {
+        /// The family name.
+        name: String,
+        /// The requested qubit count.
+        n: u32,
+        /// The family's smallest accepted qubit count.
+        min: u32,
+    },
+}
+
+impl std::fmt::Display for GeneratorError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GeneratorError::UnknownFamily(name) => write!(f, "unknown family '{name}'"),
+            GeneratorError::QubitsOutOfRange { name, n, min } => write!(
+                f,
+                "family '{name}' needs n in {min}..={}, got n = {n}",
+                Circuit::MAX_QUBITS
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GeneratorError {}
+
+/// Generates the circuit named `name` on `n` qubits: the one lookup
+/// behind `atlas-sim --family` and the serve protocol's `"family"`.
+/// Both inputs are untrusted, so an unknown name or an `n` outside the
+/// family's range is a [`GeneratorError`], never a panic.
+pub fn by_name(name: &str, n: u32) -> Result<Circuit, GeneratorError> {
+    let &(_, min, generate) = BY_NAME
+        .iter()
+        .find(|(known, _, _)| *known == name)
+        .ok_or_else(|| GeneratorError::UnknownFamily(name.to_string()))?;
+    if !(min..=Circuit::MAX_QUBITS).contains(&n) {
+        return Err(GeneratorError::QubitsOutOfRange {
+            name: name.to_string(),
+            n,
+            min,
+        });
+    }
+    Ok(generate(n))
+}
+
 fn seeded_rng(family: &str, n: u32) -> StdRng {
     // Stable, platform-independent seed from the family name and size.
     let mut h: u64 = 0xcbf29ce484222325;
@@ -678,6 +753,34 @@ mod tests {
         append_qft(&mut c, &[0, 1, 2, 3], false);
         append_qft(&mut c, &[0, 1, 2, 3], true);
         assert_eq!(c.num_gates(), 2 * 10);
+    }
+
+    #[test]
+    fn by_name_covers_every_family_and_rejects_bad_sizes() {
+        for fam in Family::table1().into_iter().chain([Family::Hhl]) {
+            assert_eq!(
+                by_name(fam.name(), 6).unwrap().gates(),
+                fam.generate(6).gates()
+            );
+        }
+        for (name, min, _) in BY_NAME {
+            // The stated minimum is accepted by the generator itself.
+            assert!(by_name(name, min).unwrap().num_gates() > 0, "{name}");
+            for bad in [min - 1, Circuit::MAX_QUBITS + 1, 4_000_000_000] {
+                assert_eq!(
+                    by_name(name, bad).unwrap_err(),
+                    GeneratorError::QubitsOutOfRange {
+                        name: name.to_string(),
+                        n: bad,
+                        min
+                    }
+                );
+            }
+        }
+        assert_eq!(
+            by_name("nope", 8).unwrap_err().to_string(),
+            "unknown family 'nope'"
+        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Backend dispatch: one planning entry point
-//! ([`Planner::plan_backend`]), three engines behind a common
-//! [`SimulatorBackend`] trait.
+//! ([`Planner::plan_backend`]) and one way to run its result
+//! ([`BackendPlan::run`]), over three engines.
 //!
 //! The session flow (plan once → execute many → sample/expect) is
 //! engine-agnostic: what varies is *how* a circuit runs, not how plans
 //! are keyed (the [`CircuitFingerprint`]) or how results are queried
-//! (shots, Pauli expectations, basis-state probabilities). This module
-//! factors that flow into a trait and adds two engines next to the
-//! sharded statevector:
+//! (shots, Pauli expectations, basis-state probabilities). The
+//! [`BackendPlan`] enum carries that flow and adds two engines next to
+//! the sharded statevector:
 //!
 //! * **Stabilizer** ([`StabilizerPlan`]): all-Clifford circuits replay
 //!   on the CHP tableau in polynomial time — thousands of qubits where
@@ -23,7 +23,7 @@
 //! [`AtlasError::InvalidConfig`] when the circuit does not fit it.
 
 use crate::config::{AtlasConfig, BackendKind};
-use crate::session::{CircuitFingerprint, CompiledPlan, Execution, Planner};
+use crate::session::{check_fingerprint, CircuitFingerprint, CompiledPlan, Execution, Planner};
 use atlas_circuit::Circuit;
 use atlas_error::AtlasError;
 use atlas_sampler::{CounterRng, PauliString};
@@ -38,50 +38,11 @@ pub const HYBRID_MIN_PREFIX: usize = 4;
 /// conversion materializes `2^n` amplitudes.
 pub const HYBRID_MAX_QUBITS: u32 = 30;
 
-/// The engine-agnostic session flow: a compiled plan that fingerprints
-/// one circuit structure and executes any circuit matching it.
-///
-/// Implemented by [`CompiledPlan`] (statevector), [`StabilizerPlan`]
-/// (tableau), [`HybridPlan`] (tableau prefix + statevector suffix) and
-/// the [`BackendPlan`] dispatcher.
-pub trait SimulatorBackend {
-    /// The structural fingerprint this plan was compiled from.
-    fn fingerprint(&self) -> &CircuitFingerprint;
-
-    /// The CLI name of the engine that will run the circuit.
-    fn backend_name(&self) -> &'static str;
-
-    /// Whether `circuit` may run under this plan (same structure, any
-    /// gate parameters).
-    fn accepts(&self, circuit: &Circuit) -> bool {
-        CircuitFingerprint::of(circuit) == *self.fingerprint()
-    }
-
-    /// Executes a structure-matching circuit, returning the unified
-    /// query surface.
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError>;
-}
-
-impl SimulatorBackend for CompiledPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
-        CompiledPlan::fingerprint(self)
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "statevec"
-    }
-
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        self.execute(circuit)
-            .map(|e| BackendRun::Statevec(Box::new(e)))
-    }
-}
-
 /// A compiled stabilizer-backend plan: the fingerprint plus the run
 /// configuration. There is no PARTITION stage — tableau replay needs no
 /// staging, kernelization or machine shape — so "planning" is
-/// fingerprinting, and `run` replays the (structure-matching) circuit
-/// on a fresh tableau.
+/// fingerprinting, and [`BackendPlan::run`] replays the
+/// (structure-matching) circuit on a fresh tableau.
 #[derive(Clone, Debug)]
 pub struct StabilizerPlan {
     fingerprint: CircuitFingerprint,
@@ -103,27 +64,10 @@ impl StabilizerPlan {
     pub fn config(&self) -> &AtlasConfig {
         &self.cfg
     }
-}
 
-impl SimulatorBackend for StabilizerPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
-        &self.fingerprint
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "stabilizer"
-    }
-
+    /// Replays a structure-matching circuit on a fresh tableau.
     fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        if !self.accepts(circuit) {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit hash {:#018x} does not match the planned hash {:#018x}",
-                    CircuitFingerprint::of(circuit).hash(),
-                    self.fingerprint.hash(),
-                ),
-            });
-        }
+        check_fingerprint(&self.fingerprint, circuit)?;
         let rec = &self.cfg.recorder;
         let t = rec.start();
         let tableau = Tableau::from_circuit(circuit)?;
@@ -181,33 +125,18 @@ impl HybridPlan {
     pub fn suffix_plan(&self) -> &CompiledPlan {
         &self.suffix
     }
-}
 
-impl SimulatorBackend for HybridPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
-        &self.fingerprint
-    }
-
-    fn backend_name(&self) -> &'static str {
-        "hybrid"
-    }
-
+    /// Replays the Clifford prefix on the tableau, then runs the suffix
+    /// plan from the converted state.
     fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
-        if !self.accepts(circuit) {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit hash {:#018x} does not match the planned hash {:#018x}",
-                    CircuitFingerprint::of(circuit).hash(),
-                    self.fingerprint.hash(),
-                ),
-            });
-        }
+        check_fingerprint(&self.fingerprint, circuit)?;
         let (prefix, suffix) = split_circuit(circuit, self.prefix_len);
         let tableau = Tableau::from_circuit(&prefix)?;
         let state = tableau.to_statevector()?;
-        self.suffix
-            .execute_from(&suffix, &state)
-            .map(|e| BackendRun::Statevec(Box::new(e)))
+        let run = self.suffix.execute_with(&suffix, Some(&state), &|| false)?;
+        Ok(BackendRun::Statevec(Box::new(
+            run.expect("a never-stop probe cannot interrupt EXECUTE"),
+        )))
     }
 }
 
@@ -231,18 +160,18 @@ impl BackendPlan {
             BackendPlan::Hybrid(p) => p.suffix.config(),
         }
     }
-}
 
-impl SimulatorBackend for BackendPlan {
-    fn fingerprint(&self) -> &CircuitFingerprint {
+    /// The structural fingerprint this plan was compiled from.
+    pub fn fingerprint(&self) -> &CircuitFingerprint {
         match self {
-            BackendPlan::Statevec(p) => SimulatorBackend::fingerprint(p),
-            BackendPlan::Stabilizer(p) => p.fingerprint(),
-            BackendPlan::Hybrid(p) => p.fingerprint(),
+            BackendPlan::Statevec(p) => p.fingerprint(),
+            BackendPlan::Stabilizer(p) => &p.fingerprint,
+            BackendPlan::Hybrid(p) => &p.fingerprint,
         }
     }
 
-    fn backend_name(&self) -> &'static str {
+    /// The CLI name of the engine that will run the circuit.
+    pub fn backend_name(&self) -> &'static str {
         match self {
             BackendPlan::Statevec(_) => "statevec",
             BackendPlan::Stabilizer(_) => "stabilizer",
@@ -250,9 +179,18 @@ impl SimulatorBackend for BackendPlan {
         }
     }
 
-    fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
+    /// Whether `circuit` may run under this plan (same structure, any
+    /// gate parameters).
+    pub fn accepts(&self, circuit: &Circuit) -> bool {
+        CircuitFingerprint::of(circuit) == *self.fingerprint()
+    }
+
+    /// Executes a structure-matching circuit, returning the unified
+    /// query surface; a structurally different circuit is rejected with
+    /// [`AtlasError::PlanMismatch`] before any state is allocated.
+    pub fn run(&self, circuit: &Circuit) -> Result<BackendRun, AtlasError> {
         match self {
-            BackendPlan::Statevec(p) => p.run(circuit),
+            BackendPlan::Statevec(p) => Ok(BackendRun::Statevec(Box::new(p.execute(circuit)?))),
             BackendPlan::Stabilizer(p) => p.run(circuit),
             BackendPlan::Hybrid(p) => p.run(circuit),
         }

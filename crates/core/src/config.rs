@@ -218,12 +218,14 @@ pub struct AtlasConfig {
     pub threads: usize,
     /// Measurement shots to draw after a functional run (`0` = none).
     /// Sampling runs on the sharded state and the bitstrings land in
-    /// `SimulationOutput::samples`; with a fixed [`seed`] they are
+    /// [`Execution::samples`]; with a fixed [`seed`] they are
     /// byte-identical for every thread count and machine shape. (More
     /// shots can always be drawn later through
-    /// `SimulationOutput::measurements`.)
+    /// [`Execution::measurements`].)
     ///
     /// [`seed`]: AtlasConfig::seed
+    /// [`Execution::samples`]: crate::session::Execution::samples
+    /// [`Execution::measurements`]: crate::session::Execution::measurements
     pub shots: usize,
     /// Seed of the counter-based measurement RNG (shot `i` draws a pure
     /// function of `(seed, i)`). With [`noise`](AtlasConfig::noise) it

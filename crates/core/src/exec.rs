@@ -115,12 +115,12 @@ impl FullPlan {
     /// The logical→physical qubit layout the machine is left in after
     /// EXECUTE: the identity when the run unpermutes at the end
     /// (`final_unpermute`), otherwise the last stage's mapping
-    /// (outstanding X/Y relabel flips are already applied by `execute`).
+    /// (outstanding X/Y relabel flips are already applied by
+    /// `execute_with`).
     ///
     /// The single source of truth for the post-EXECUTE layout — the
-    /// session API's [`Execution`](crate::session::Execution) and the
-    /// [`simulate`](crate::simulate::simulate) shim both hand this to
-    /// the measurement engine.
+    /// session API's [`Execution`](crate::session::Execution) hands this
+    /// to the measurement engine.
     pub fn final_mapping(&self, final_unpermute: bool) -> Vec<u32> {
         if final_unpermute {
             return (0..self.n).collect();
@@ -352,42 +352,38 @@ fn reduce_for_pattern(gate: &Gate, reads: &[ReadBit], shard_bits: u64, l: u32) -
     m
 }
 
-/// EXECUTE (Algorithm 1, lines 9–17).
+/// EXECUTE (Algorithm 1, lines 9–17), the one body behind every run.
 ///
 /// The machine must have been initialized with the `|0…0⟩` state (any bit
 /// layout represents it identically) or pre-permuted into stage 0's
-/// layout by the caller.
+/// layout by the caller. `circuit` is only read on a functional machine;
+/// a dry-mode machine charges kernels and all-to-alls purely from the
+/// compiled [`FullPlan`] — gate matrices are never built — so a
+/// [`CompiledPlan`](crate::session::CompiledPlan) can replay its cost
+/// model without retaining the circuit it was planned from.
 ///
 /// In functional mode with `cfg.threads > 1`, a persistent worker pool is
 /// spawned for the whole run: each stage's independent shard kernels
 /// execute concurrently across the workers, and the all-to-all reshuffles
 /// between stages act as barriers (they run on this thread while the
-/// workers are parked). Amplitudes are bit-identical for every thread
-/// count.
-pub fn execute(machine: &mut Machine, circuit: &Circuit, plan: &FullPlan, cfg: &AtlasConfig) {
-    let done = execute_with(machine, circuit, plan, cfg, &|| false);
-    debug_assert!(done, "a never-stop probe cannot interrupt EXECUTE");
-}
-
-/// EXECUTE with a cooperative interruption probe, polled at every stage
-/// barrier — the natural deterministic preemption point: a stage's
-/// kernels either all ran or none did, so abandoning between stages
-/// leaves no half-applied kernel group.
+/// workers are parked). Dry runs never touch amplitudes and run serially.
+/// Amplitudes are bit-identical for every thread count.
 ///
-/// Returns `true` when the run completed and `false` when the probe
-/// stopped it; an interrupted machine holds a partial state and must be
-/// dropped, not measured. A probe that always answers `false` makes this
-/// byte-identical to [`execute`] — the poll reads nothing from the state
-/// and writes nothing to it, so the presence of a (never-firing) probe
-/// can never perturb results.
+/// `should_stop` is polled at every stage barrier — the natural
+/// deterministic preemption point: a stage's kernels either all ran or
+/// none did, so abandoning between stages leaves no half-applied kernel
+/// group. Returns `true` when the run completed and `false` when the
+/// probe stopped it; an interrupted machine holds a partial state and
+/// must be dropped, not measured. The poll reads nothing from the state
+/// and writes nothing to it, so a probe that never fires can never
+/// perturb results.
 pub fn execute_with(
     machine: &mut Machine,
-    circuit: &Circuit,
+    circuit: Option<&Circuit>,
     plan: &FullPlan,
     cfg: &AtlasConfig,
     should_stop: &dyn Fn() -> bool,
 ) -> bool {
-    // Dry runs never touch amplitudes, so the pool would only idle.
     let threads = if machine.is_dry() {
         1
     } else {
@@ -396,7 +392,7 @@ pub fn execute_with(
     if threads > 1 && machine.num_shards() >= threads {
         // Enough independent shards to keep every worker busy.
         atlas_statevec::with_pool(threads, |pool| {
-            execute_on(machine, Some(circuit), plan, cfg, pool, should_stop)
+            execute_on(machine, circuit, plan, cfg, pool, should_stop)
         })
     } else {
         // Fewer shards than threads (or serial): no workers to park
@@ -405,7 +401,7 @@ pub fn execute_with(
         // kernel's groups across them.
         execute_on(
             machine,
-            Some(circuit),
+            circuit,
             plan,
             cfg,
             &Pool::inline(threads),
@@ -414,22 +410,7 @@ pub fn execute_with(
     }
 }
 
-/// EXECUTE in dry-run (clock model only) mode, without the circuit.
-///
-/// A dry walk charges kernels and all-to-alls purely from the compiled
-/// [`FullPlan`] — gate matrices are never built — so a
-/// [`CompiledPlan`](crate::session::CompiledPlan) can replay its cost
-/// model without retaining the circuit it was planned from. The machine
-/// must have been created with `dry = true`.
-pub fn execute_dry(machine: &mut Machine, plan: &FullPlan, cfg: &AtlasConfig) {
-    assert!(machine.is_dry(), "execute_dry needs a dry-mode machine");
-    execute_on(machine, None, plan, cfg, &Pool::inline(1), &|| false);
-}
-
-/// The body of [`execute`] / [`execute_dry`], parameterized on the
-/// worker pool. `circuit` is only read on the functional path (dry
-/// stages charge costs straight from the plan). Returns `false` when
-/// `should_stop` interrupted the run at a stage barrier.
+/// The stage loop of [`execute_with`] on an already chosen worker pool.
 fn execute_on(
     machine: &mut Machine,
     circuit: Option<&Circuit>,

@@ -15,18 +15,18 @@
 //!   across the machine, run each stage's kernels per shard with
 //!   insular-qubit specialization, and perform the all-to-all qubit
 //!   remapping between stages.
-//! * [`session`] — the typed session API: [`Planner`] compiles a circuit
-//!   once into a [`CompiledPlan`]; the plan executes any number of
-//!   same-structure circuits (plan-once/run-many parameter sweeps).
-//! * [`backend`] — engine dispatch behind the [`SimulatorBackend`]
-//!   trait: all-Clifford circuits route to the `atlas-stabilizer`
-//!   tableau, Clifford prefixes fast-forward on the tableau and hand
-//!   off to the statevector engine, everything else runs the sharded
-//!   statevector path.
+//! * [`session`] — the typed session API and the one way to run a
+//!   plan (**SIMULATE** = PARTITION then EXECUTE): [`Planner`] compiles
+//!   a circuit once into a [`CompiledPlan`]; the plan executes any
+//!   number of same-structure circuits (plan-once/run-many parameter
+//!   sweeps) or replays its clock model dry.
+//! * [`backend`] — engine dispatch through [`BackendPlan`]:
+//!   all-Clifford circuits route to the `atlas-stabilizer` tableau,
+//!   Clifford prefixes fast-forward on the tableau and hand off to the
+//!   statevector engine, everything else runs the sharded statevector
+//!   path.
 //! * [`noise`] — depolarizing noise as Pauli-twirled stochastic
 //!   trajectories that share one fingerprint (plan-once sweeps).
-//! * [`simulate`](mod@simulate) — the one-shot **SIMULATE** driver, a
-//!   thin shim over the session API.
 //!
 //! Every fallible public API returns the workspace-wide structured
 //! [`AtlasError`] (re-exported from `atlas-error`).
@@ -42,12 +42,10 @@ pub mod kernelize;
 pub mod noise;
 pub mod plan;
 pub mod session;
-pub mod simulate;
 pub mod staging;
 
 pub use atlas_error::AtlasError;
-pub use backend::{BackendPlan, BackendRun, HybridPlan, SimulatorBackend, StabilizerPlan};
+pub use backend::{BackendPlan, BackendRun, HybridPlan, StabilizerPlan};
 pub use config::{AtlasConfig, AtlasConfigBuilder, BackendKind, MemoryBudget};
 pub use plan::{Kernel, KernelKind, QubitPartition, Stage, StagedKernels};
 pub use session::{CircuitFingerprint, CompiledPlan, Execution, Planner};
-pub use simulate::{simulate, SimulationOutput};

@@ -24,7 +24,7 @@
 //! [`CircuitFingerprint`]: crate::session::CircuitFingerprint
 //! [`PauliNoise`]: GateKind::PauliNoise
 
-use crate::backend::{BackendPlan, BackendRun, SimulatorBackend};
+use crate::backend::{BackendPlan, BackendRun};
 use atlas_circuit::{Circuit, GateKind};
 use atlas_error::AtlasError;
 use atlas_sampler::CounterRng;

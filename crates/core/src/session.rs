@@ -319,9 +319,7 @@ impl CompiledPlan {
         self.plan.stages.len()
     }
 
-    /// Consumes the session wrapper and returns the bare [`FullPlan`]
-    /// (the [`simulate`](crate::simulate::simulate) shim's output keeps
-    /// exposing the plan this way).
+    /// Consumes the session wrapper and returns the bare [`FullPlan`].
     pub fn into_plan(self) -> FullPlan {
         self.plan
     }
@@ -339,97 +337,50 @@ impl CompiledPlan {
     /// plan); otherwise [`AtlasError::PlanMismatch`] is returned before
     /// any state is allocated.
     pub fn execute(&self, circuit: &Circuit) -> Result<Execution, AtlasError> {
-        let run = self.execute_with(circuit, &|| false)?;
+        let run = self.execute_with(circuit, None, &|| false)?;
         Ok(run.expect("a never-stop probe cannot interrupt EXECUTE"))
     }
 
-    /// [`execute`](CompiledPlan::execute) with a cooperative
-    /// interruption probe, polled at every stage barrier of EXECUTE —
-    /// the serve pool's cancellation and deadline hook.
+    /// [`execute`](CompiledPlan::execute) from an optional initial state
+    /// and with a cooperative interruption probe.
     ///
-    /// Returns `Ok(None)` when the probe stopped the run (the partial
-    /// state is dropped; nothing is measured), `Ok(Some(_))` on
-    /// completion. A probe that never fires is unobservable: results are
-    /// byte-identical to [`execute`](CompiledPlan::execute).
+    /// `initial` (the stabilizer→statevector hybrid handoff) is given in
+    /// the identity qubit layout (index bit `q` = qubit `q`); it is
+    /// loaded into the sharded machine and pre-permuted into the plan's
+    /// stage-0 layout before the kernels run. `None` starts from
+    /// `|0…0⟩`, which is layout-invariant and needs no permute.
+    ///
+    /// `should_stop` is polled at every stage barrier of EXECUTE — the
+    /// serve pool's cancellation and deadline hook. Returns `Ok(None)`
+    /// when the probe stopped the run (the partial state is dropped;
+    /// nothing is measured), `Ok(Some(_))` on completion. A probe that
+    /// never fires is unobservable: results are byte-identical to
+    /// [`execute`](CompiledPlan::execute).
     pub fn execute_with(
         &self,
         circuit: &Circuit,
+        initial: Option<&StateVector>,
         should_stop: &dyn Fn() -> bool,
     ) -> Result<Option<Execution>, AtlasError> {
-        let fp = CircuitFingerprint::of(circuit);
-        if fp != self.fingerprint {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit ({} qubits, {} gates, hash {:#018x}) does not match \
-                     the planned structure ({} qubits, {} gates, hash {:#018x}); \
-                     plans are reusable across same-structure circuits only — \
-                     re-plan for a structurally different circuit",
-                    fp.num_qubits,
-                    fp.num_gates,
-                    fp.hash,
-                    self.fingerprint.num_qubits,
-                    self.fingerprint.num_gates,
-                    self.fingerprint.hash,
-                ),
-            });
+        check_fingerprint(&self.fingerprint, circuit)?;
+        if let Some(state) = initial.filter(|s| s.num_qubits() != self.plan.n) {
+            return Err(AtlasError::invalid_plan(format!(
+                "initial state has {} qubits, plan expects {}",
+                state.num_qubits(),
+                self.plan.n
+            )));
         }
         // Admission control: compute the run's peak bytes (state +
         // ping-pong spare + scratch) *before* allocating anything.
         self.cfg
             .memory_budget
             .admit(self.plan.n, self.spec.local_qubits)?;
-        let machine = Machine::new(self.spec, self.cost.clone(), self.plan.n, false);
-        self.run_on(machine, circuit, false, should_stop)
-    }
-
-    /// EXECUTE starting from a caller-supplied state instead of
-    /// `|0…0⟩` — the stabilizer→statevector hybrid handoff. `initial`
-    /// is given in the identity qubit layout (index bit `q` = qubit
-    /// `q`); it is loaded into the sharded machine and pre-permuted into
-    /// the plan's stage-0 layout before the kernels run (a fresh
-    /// `|0…0⟩` machine can skip that because the all-zero state is
-    /// layout-invariant).
-    pub fn execute_from(
-        &self,
-        circuit: &Circuit,
-        initial: &StateVector,
-    ) -> Result<Execution, AtlasError> {
-        let fp = CircuitFingerprint::of(circuit);
-        if fp != self.fingerprint {
-            return Err(AtlasError::PlanMismatch {
-                reason: format!(
-                    "circuit hash {:#018x} does not match the planned hash {:#018x}",
-                    fp.hash, self.fingerprint.hash,
-                ),
-            });
-        }
-        if initial.num_qubits() != self.plan.n {
-            return Err(AtlasError::invalid_plan(format!(
-                "initial state has {} qubits, plan expects {}",
-                initial.num_qubits(),
-                self.plan.n
-            )));
-        }
-        self.cfg
-            .memory_budget
-            .admit(self.plan.n, self.spec.local_qubits)?;
-        let machine = Machine::with_state(self.spec, self.cost.clone(), initial);
-        let run = self.run_on(machine, circuit, true, &|| false)?;
-        Ok(run.expect("a never-stop probe cannot interrupt EXECUTE"))
-    }
-
-    /// Shared EXECUTE body of [`execute`](CompiledPlan::execute) and
-    /// [`execute_from`](CompiledPlan::execute_from). `Ok(None)` means
-    /// `should_stop` interrupted the run at a stage barrier.
-    fn run_on(
-        &self,
-        mut machine: Machine,
-        circuit: &Circuit,
-        permute_in: bool,
-        should_stop: &dyn Fn() -> bool,
-    ) -> Result<Option<Execution>, AtlasError> {
+        let mut machine = match initial {
+            Some(state) => Machine::with_state(self.spec, self.cost.clone(), state),
+            None => Machine::new(self.spec, self.cost.clone(), self.plan.n, false),
+        };
         machine.set_recorder(self.cfg.recorder.clone());
-        if permute_in {
+        if initial.is_some() {
             if let Some(sp0) = self.plan.stages.first() {
                 let perm = atlas_qmath::QubitPermutation::from_map(sp0.mapping.clone());
                 if !perm.is_identity() {
@@ -437,7 +388,13 @@ impl CompiledPlan {
                 }
             }
         }
-        if !exec::execute_with(&mut machine, circuit, &self.plan, &self.cfg, should_stop) {
+        if !exec::execute_with(
+            &mut machine,
+            Some(circuit),
+            &self.plan,
+            &self.cfg,
+            should_stop,
+        ) {
             // Interrupted at a stage barrier: the state is partial —
             // drop it unmeasured.
             return Ok(None);
@@ -476,9 +433,36 @@ impl CompiledPlan {
     pub fn dry_run(&self) -> MachineReport {
         let mut machine = Machine::new(self.spec, self.cost.clone(), self.plan.n, true);
         machine.set_recorder(self.cfg.recorder.clone());
-        exec::execute_dry(&mut machine, &self.plan, &self.cfg);
+        exec::execute_with(&mut machine, None, &self.plan, &self.cfg, &|| false);
         machine.report()
     }
+}
+
+/// Rejects a circuit whose structure differs from the planned one — the
+/// one acceptance check of every engine (statevector, stabilizer and
+/// hybrid plans alike), run before any state is allocated.
+pub(crate) fn check_fingerprint(
+    planned: &CircuitFingerprint,
+    circuit: &Circuit,
+) -> Result<(), AtlasError> {
+    let fp = CircuitFingerprint::of(circuit);
+    if fp == *planned {
+        return Ok(());
+    }
+    Err(AtlasError::PlanMismatch {
+        reason: format!(
+            "circuit ({} qubits, {} gates, hash {:#018x}) does not match \
+             the planned structure ({} qubits, {} gates, hash {:#018x}); \
+             plans are reusable across same-structure circuits only — \
+             re-plan for a structurally different circuit",
+            fp.num_qubits,
+            fp.num_gates,
+            fp.hash,
+            planned.num_qubits,
+            planned.num_gates,
+            planned.hash,
+        ),
+    })
 }
 
 /// Phase 3 of a session: one finished functional EXECUTE.
@@ -507,7 +491,8 @@ pub struct Execution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_circuit::generators;
+    use atlas_circuit::generators::{self, Family};
+    use atlas_statevec::simulate_reference;
 
     fn small_spec() -> MachineSpec {
         MachineSpec {
@@ -652,24 +637,128 @@ mod tests {
         }
     }
 
+    fn check_family(fam: Family, n: u32, spec: MachineSpec) {
+        let circuit = fam.generate(n);
+        let cfg = AtlasConfig::for_validation();
+        let out = Planner::new(spec, CostModel::default(), cfg)
+            .plan(&circuit)
+            .and_then(|compiled| compiled.execute(&circuit))
+            .unwrap_or_else(|e| panic!("{fam:?} n={n}: {e}"));
+        let got = out.state.expect("functional run returns state");
+        let want = simulate_reference(&circuit);
+        let diff = got.max_abs_diff(&want);
+        assert!(
+            diff < 1e-9,
+            "{fam:?} n={n} L={} G={}: distributed result diverged by {diff}",
+            spec.local_qubits,
+            spec.global_qubits()
+        );
+    }
+
     #[test]
-    fn dry_run_matches_simulate_dry_report() {
-        let circuit = generators::qaoa(10);
+    fn all_families_match_reference_on_multi_gpu() {
+        // 2 nodes × 2 GPUs, L = n-3: every family must agree with the
+        // reference amplitudes through staging, kernelization, insular
+        // specialization and the all-to-alls.
+        for fam in Family::table1() {
+            let n = 9;
+            let spec = MachineSpec {
+                nodes: 2,
+                gpus_per_node: 2,
+                local_qubits: n - 3,
+            };
+            check_family(fam, n, spec);
+        }
+    }
+
+    #[test]
+    fn qft_matches_on_many_small_shards() {
+        // Aggressive split: L = 5 on an 10-qubit circuit → 32 shards,
+        // multiple stages guaranteed.
+        let spec = MachineSpec {
+            nodes: 4,
+            gpus_per_node: 2,
+            local_qubits: 5,
+        };
+        check_family(Family::Qft, 10, spec);
+        check_family(Family::Su2Random, 10, spec);
+        check_family(Family::WState, 10, spec);
+    }
+
+    #[test]
+    fn offloaded_execution_matches() {
+        // More shards than GPUs: DRAM offload path.
+        let spec = MachineSpec {
+            nodes: 1,
+            gpus_per_node: 2,
+            local_qubits: 5,
+        };
+        check_family(Family::Ae, 10, spec);
+        check_family(Family::Ghz, 10, spec);
+    }
+
+    #[test]
+    fn single_gpu_no_staging() {
+        let spec = MachineSpec::single_gpu(8);
+        check_family(Family::Vqc, 8, spec);
+    }
+
+    #[test]
+    fn functional_run_hands_out_measurements_without_unpermute() {
+        // No final unpermute: the state stays in the last stage's layout,
+        // yet the measurement handle reports logical-order results that
+        // match the dense reference.
+        let circuit = Family::Qft.generate(9);
         let spec = MachineSpec {
             nodes: 2,
             gpus_per_node: 2,
-            local_qubits: 7,
+            local_qubits: 6,
         };
-        let cfg = AtlasConfig::default();
-        let compiled = Planner::new(spec, CostModel::default(), cfg.clone())
+        let cfg = AtlasConfig {
+            shots: 32,
+            seed: 11,
+            ..AtlasConfig::default() // final_unpermute = false
+        };
+        let out = Planner::new(spec, CostModel::default(), cfg)
             .plan(&circuit)
-            .unwrap();
-        let session = compiled.dry_run();
-        let shim = crate::simulate::simulate(&circuit, spec, CostModel::default(), &cfg, true)
             .unwrap()
-            .report;
-        assert_eq!(session.total_secs.to_bits(), shim.total_secs.to_bits());
-        assert_eq!(session.kernels, shim.kernels);
+            .execute(&circuit)
+            .unwrap();
+        assert!(out.state.is_none(), "no gather without final_unpermute");
+        let m = out.measurements;
+        // cfg.shots/cfg.seed drew the samples already.
+        let samples = out.samples.expect("cfg.shots > 0 pre-draws samples");
+        assert_eq!(samples.len(), 32);
+        assert_eq!(samples, m.sample(32, 11));
+        let want = simulate_reference(&circuit);
+        for x in [0u64, 1, 100, 511] {
+            assert!((m.probability(x) - want.probability(x)).abs() < 1e-9);
+        }
+        let top = m.top(4);
+        let dense = want.top_probabilities(4);
+        assert_eq!(
+            top.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
+            dense.iter().map(|&(i, _)| i).collect::<Vec<_>>()
+        );
+        assert!((m.total_norm() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dry_run_produces_report_without_state() {
+        // A dry run returns the clock report alone: no state, no
+        // measurements and no samples exist to hand out.
+        let circuit = Family::Qft.generate(30);
+        let spec = MachineSpec {
+            nodes: 2,
+            gpus_per_node: 2,
+            local_qubits: 26,
+        };
+        let report = Planner::new(spec, CostModel::default(), AtlasConfig::default())
+            .plan(&circuit)
+            .unwrap()
+            .dry_run();
+        assert!(report.total_secs > 0.0);
+        assert!(report.kernels > 0);
     }
 
     use atlas_circuit::Circuit;

@@ -28,7 +28,7 @@
 //! amplitudes.
 //!
 //! Entry point: [`Measurements`], handed out by
-//! `atlas_core::simulate::SimulationOutput` for functional runs.
+//! `atlas_core::session::Execution` for functional runs.
 //!
 //! [`Machine::logical_chunk_norms`]: atlas_machine::Machine::logical_chunk_norms
 //! [`Machine::resolve_targets`]: atlas_machine::Machine::resolve_targets

@@ -5,7 +5,9 @@
 //! a string escaper cover everything `atlas-serve` needs. The parser
 //! accepts strict JSON (RFC 8259) values; numbers are held as `f64`,
 //! which is exact for every integer the protocol carries (qubit counts,
-//! shot counts, seeds below 2^53).
+//! shot counts, seeds below 2^53). Input is untrusted, so nesting is
+//! capped at `MAX_DEPTH` (64) levels: a deeper document is an error,
+//! not a stack overflow.
 
 use std::fmt::Write as _;
 
@@ -64,11 +66,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The protocol's job
+/// lines are flat objects, so this is generous; it exists to bound the
+/// recursive descent's stack use on hostile input.
+const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document, requiring it to span the whole input.
 pub fn parse(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -91,21 +98,28 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing
+/// arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        ));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'{') => parse_object(b, pos),
+        Some(b'[') => parse_array(b, pos, depth + 1),
+        Some(b'{') => parse_object(b, pos, depth + 1),
         Some(_) => parse_number(b, pos),
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -114,7 +128,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -127,7 +141,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // consume '{'
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -143,7 +157,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, ":")?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -291,6 +305,23 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the limit (and past any thread's stack, unbounded):
+        // still an error, found after reading only MAX_DEPTH brackets.
+        assert!(parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

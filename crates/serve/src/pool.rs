@@ -912,7 +912,7 @@ fn run_job(
                 solve_status: p.solve_status,
             }))
         }
-        JobRequest::Execute => match plan.execute_with(circuit, &probe)? {
+        JobRequest::Execute => match plan.execute_with(circuit, None, &probe)? {
             None => Ok(interrupted()),
             Some(run) => Ok(JobOutcome::Output(JobOutput::Executed {
                 model_secs: run.report.total_secs,
@@ -922,7 +922,7 @@ fn run_job(
                 state: run.state,
             })),
         },
-        JobRequest::Sample { shots, seed } => match plan.execute_with(circuit, &probe)? {
+        JobRequest::Sample { shots, seed } => match plan.execute_with(circuit, None, &probe)? {
             None => Ok(interrupted()),
             Some(run) => Ok(JobOutcome::Output(JobOutput::Sampled {
                 counts: run.measurements.sample_counts(*shots, *seed),
@@ -938,7 +938,7 @@ fn run_job(
                     ),
                 });
             }
-            match plan.execute_with(circuit, &probe)? {
+            match plan.execute_with(circuit, None, &probe)? {
                 None => Ok(interrupted()),
                 Some(run) => Ok(JobOutcome::Output(JobOutput::Expectation {
                     value: run.measurements.expectation(pauli),

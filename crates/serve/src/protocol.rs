@@ -14,9 +14,10 @@
 //!   scheduling.
 //! * `op` (string, required) — `"plan"`, `"execute"`, `"sample"` or
 //!   `"expect"`.
-//! * Circuit: either `family` (the `atlas-sim --family` names, plus
-//!   `qaoa`/`grover`/`clifford`) with `n` (qubits, default 10), or
-//!   `qasm` (inline OpenQASM-2 source, newlines escaped as `\n`).
+//! * Circuit: either `family` (the `atlas-sim --family` names) with `n`
+//!   (qubits, default 10; each family has a minimum, and the maximum is
+//!   `Circuit::MAX_QUBITS`), or `qasm` (inline OpenQASM-2 source,
+//!   newlines escaped as `\n`).
 //! * `shift` (number, optional) — adds `shift` to every gate parameter
 //!   (structure preserved, so shifted points share one cached plan).
 //! * `shots`/`seed` — for `op":"sample"` (shots required, seed
@@ -54,7 +55,7 @@
 
 use crate::json::{self, Json};
 use crate::pool::{JobOutcome, JobOutput, JobRequest};
-use atlas_circuit::generators::{self, Family};
+use atlas_circuit::generators;
 use atlas_circuit::{qasm, Circuit};
 use atlas_error::AtlasError;
 use atlas_ilp::SolveStatus;
@@ -104,15 +105,19 @@ pub fn parse_line(line: &str) -> Result<JobLine, String> {
             id: req_str(&v, "id")?.to_string(),
         });
     }
-    parse_job(line).map(JobLine::Job)
+    job_from_json(&v).map(JobLine::Job)
 }
 
 /// Parses one NDJSON job line into a [`JobSpec`].
 pub fn parse_job(line: &str) -> Result<JobSpec, String> {
-    let v = json::parse(line)?;
-    let id = req_str(&v, "id")?.to_string();
-    let tenant = req_str(&v, "tenant")?.to_string();
-    let op = req_str(&v, "op")?;
+    job_from_json(&json::parse(line)?)
+}
+
+/// Reads a [`JobSpec`] out of one parsed job line.
+fn job_from_json(v: &Json) -> Result<JobSpec, String> {
+    let id = req_str(v, "id")?.to_string();
+    let tenant = req_str(v, "tenant")?.to_string();
+    let op = req_str(v, "op")?;
 
     let mut circuit = match (v.get("family"), v.get("qasm")) {
         (Some(_), Some(_)) => return Err("'family' and 'qasm' are mutually exclusive".into()),
@@ -130,14 +135,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, String> {
                     .ok_or("'n' must be a non-negative integer")?,
                 None => 10,
             };
-            match name {
-                "qaoa" => generators::qaoa(n),
-                "grover" => generators::grover(n),
-                "clifford" => generators::clifford(n),
-                _ => Family::from_name(name)
-                    .ok_or_else(|| format!("unknown family '{name}'"))?
-                    .generate(n),
-            }
+            generators::by_name(name, n).map_err(|e| e.to_string())?
         }
     };
     if let Some(shift) = v.get("shift") {
@@ -161,7 +159,7 @@ pub fn parse_job(line: &str) -> Result<JobSpec, String> {
             JobRequest::Sample { shots, seed }
         }
         "expect" => {
-            let pauli: PauliString = req_str(&v, "pauli")?
+            let pauli: PauliString = req_str(v, "pauli")?
                 .parse()
                 .map_err(|e: AtlasError| format!("pauli: {e}"))?;
             JobRequest::Expect { pauli }

@@ -75,15 +75,17 @@ fn main() {
         local_qubits: N - 2,
     };
     let cfg = AtlasConfig::for_validation();
-    let out =
-        simulate(&circuit, spec, CostModel::default(), &cfg, false).expect("simulation failed");
-    let state = out.state.expect("functional run");
+    let compiled = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .expect("planning failed");
+    let run = compiled.execute(&circuit).expect("simulation failed");
+    let state = run.state.expect("functional run");
 
     println!(
         "Grover search over 16 items, {} iterations, {} gates, {} stages",
         iterations,
         circuit.num_gates(),
-        out.plan.stages.len()
+        compiled.num_stages()
     );
     println!("marked item: |{target:04b}⟩\n");
     println!("result distribution over data qubits:");

@@ -29,10 +29,11 @@
 //! panicked, `10` resource budget exceeded.
 
 use atlas::baselines;
+use atlas::circuit::generators::{self, GeneratorError};
 use atlas::circuit::qasm;
 use atlas::core::config::BackendKind;
 use atlas::core::session::Planner;
-use atlas::core::{noise, BackendRun, SimulatorBackend};
+use atlas::core::{noise, BackendRun};
 use atlas::prelude::*;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -524,8 +525,9 @@ fn error_exit(e: &atlas::core::AtlasError) -> ExitCode {
 }
 
 /// Builds the requested circuit. A failure is reported before it is
-/// returned: a QASM file that does not parse exits 7 (`ParseError`),
-/// anything else exits 1.
+/// returned: a QASM file that does not parse exits 7 (`ParseError`), an
+/// `-n` outside the family's range exits 2 (usage error), anything else
+/// exits 1.
 fn build_circuit(args: &Args) -> Result<Circuit, ExitCode> {
     let fail = |msg: String| {
         eprintln!("error: {msg}");
@@ -545,16 +547,10 @@ fn build_circuit(args: &Args) -> Result<Circuit, ExitCode> {
         .family
         .as_deref()
         .ok_or_else(|| fail("need --family or --qasm (try --help)".into()))?;
-    // The regression-circuit generators ride alongside the Table I
-    // families.
-    match name {
-        "qaoa" => return Ok(atlas::circuit::generators::qaoa(args.n)),
-        "grover" => return Ok(atlas::circuit::generators::grover(args.n)),
-        "clifford" => return Ok(atlas::circuit::generators::clifford(args.n)),
-        _ => {}
-    }
-    let fam = Family::from_name(name).ok_or_else(|| fail(format!("unknown family '{name}'")))?;
-    Ok(fam.generate(args.n))
+    generators::by_name(name, args.n).map_err(|e| match e {
+        GeneratorError::UnknownFamily(_) => fail(e.to_string()),
+        GeneratorError::QubitsOutOfRange { .. } => usage_error(&format!("-n: {e}")),
+    })
 }
 
 /// Exit code 2: usage error.
@@ -1300,7 +1296,7 @@ fn print_profile(report: &atlas::machine::MachineReport, backend: &str) {
 }
 
 /// Functional-run output through the sharded measurement engine.
-/// `samples` are the shots `simulate` already drew from
+/// `samples` are the shots EXECUTE already drew from
 /// `cfg.shots`/`cfg.seed`.
 fn print_measurements(
     m: &Measurements,

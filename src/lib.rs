@@ -21,12 +21,11 @@ pub use atlas_telemetry as telemetry;
 /// The names most programs need.
 pub mod prelude {
     pub use atlas_circuit::{generators::Family, Circuit, Gate, GateKind};
-    pub use atlas_core::backend::{BackendPlan, BackendRun, SimulatorBackend};
+    pub use atlas_core::backend::{BackendPlan, BackendRun};
     pub use atlas_core::config::{
         AtlasConfig, AtlasConfigBuilder, BackendKind, KernelAlgo, MemoryBudget, StagingAlgo,
     };
     pub use atlas_core::session::{CircuitFingerprint, CompiledPlan, Execution, Planner};
-    pub use atlas_core::simulate::{simulate, SimulationOutput};
     pub use atlas_error::AtlasError;
     pub use atlas_machine::{CostModel, MachineSpec};
     pub use atlas_qmath::Complex64;

@@ -154,8 +154,6 @@ fn snapshot_contains_session_api() {
         "pub struct CircuitFingerprint",
         "pub fn staging_invocations",
         "pub struct AtlasConfigBuilder",
-        "pub fn simulate",
-        "pub trait SimulatorBackend",
         "pub struct Tableau",
         "pub enum BackendKind",
         // The telemetry layer's load-bearing exports: the recorder handle

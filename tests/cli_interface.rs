@@ -14,6 +14,28 @@ fn atlas_sim(args: &[&str]) -> Output {
         .expect("failed to launch atlas-sim")
 }
 
+/// Runs `atlas-sim serve` with `args`, feeding `input` on stdin.
+fn atlas_sim_serve(args: &[&str], input: &str) -> Output {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_atlas-sim"))
+        .arg("serve")
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to launch atlas-sim serve");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(input.as_bytes())
+        .expect("write job stream");
+    child.wait_with_output().expect("serve run")
+}
+
 fn exit_code(out: &Output) -> i32 {
     out.status.code().expect("no exit code")
 }
@@ -162,6 +184,11 @@ fn contradictory_flags_are_rejected_with_exit_2() {
             ],
             "noise",
         ),
+        // An -n outside the family's range is a usage error, not a
+        // panic: below the generator's minimum, or past the widest
+        // circuit the container holds.
+        (vec!["--family", "vqc", "-n", "2"], "-n"),
+        (vec!["--family", "ghz", "-n", "5000"], "-n"),
     ];
     for (args, needle) in cases {
         let out = atlas_sim(&args);
@@ -498,9 +525,6 @@ fn profile_works_on_dry_runs_and_contradicts_plan() {
 /// the stream.
 #[test]
 fn serve_answers_failures_in_band_and_exits_zero() {
-    use std::io::Write;
-    use std::process::Stdio;
-
     let input = concat!(
         r#"{"id":"ok","tenant":"t","op":"execute","family":"ghz","n":8}"#,
         "\n",
@@ -511,20 +535,7 @@ fn serve_answers_failures_in_band_and_exits_zero() {
         r#"{"op":"stats","id":"s"}"#,
         "\n",
     );
-    let mut child = Command::new(env!("CARGO_BIN_EXE_atlas-sim"))
-        .args(["serve", "-L", "5"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("failed to launch atlas-sim serve");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(input.as_bytes())
-        .expect("write job stream");
-    let out = child.wait_with_output().expect("serve run");
+    let out = atlas_sim_serve(&["-L", "5"], input);
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
 
     let stdout = stdout(&out);
@@ -562,18 +573,14 @@ fn serve_answers_failures_in_band_and_exits_zero() {
 /// exit code is still 0.
 #[test]
 fn serve_survives_injected_panics() {
-    use std::io::Write;
-    use std::process::Stdio;
-
     let input = concat!(
         r#"{"id":"p0","tenant":"t","op":"plan","family":"ghz","n":8}"#,
         "\n",
         r#"{"id":"p1","tenant":"u","op":"execute","family":"ghz","n":8}"#,
         "\n",
     );
-    let mut child = Command::new(env!("CARGO_BIN_EXE_atlas-sim"))
-        .args([
-            "serve",
+    let out = atlas_sim_serve(
+        &[
             "-L",
             "5",
             "--workers",
@@ -582,19 +589,9 @@ fn serve_survives_injected_panics() {
             "1",
             "--fault-rate",
             "1000000",
-        ])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("failed to launch atlas-sim serve");
-    child
-        .stdin
-        .take()
-        .expect("piped stdin")
-        .write_all(input.as_bytes())
-        .expect("write job stream");
-    let out = child.wait_with_output().expect("serve run");
+        ],
+        input,
+    );
     assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
     let stdout = stdout(&out);
     let lines: Vec<&str> = stdout.lines().collect();
@@ -609,5 +606,44 @@ fn serve_survives_injected_panics() {
         stderr(&out).contains("fault injection armed"),
         "stderr should announce the armed harness: {}",
         stderr(&out)
+    );
+}
+
+/// Untrusted job lines never take the stream down: an `n` below the
+/// family's minimum, an `n` past the widest circuit, a family-specific
+/// minimum (`vqc` needs 4 qubits) and JSON nested 200 000 levels deep
+/// each answer an in-band parse error at their position, and the valid
+/// job after them is served normally.
+#[test]
+fn serve_answers_untrusted_sizes_and_deep_nesting_in_band() {
+    let input = [
+        r#"{"id":"zero","tenant":"t","op":"plan","family":"ghz","n":0}"#.to_string(),
+        r#"{"id":"huge","tenant":"t","op":"plan","family":"ghz","n":4000000000}"#.to_string(),
+        r#"{"id":"vqc2","tenant":"t","op":"plan","family":"vqc","n":2}"#.to_string(),
+        "[".repeat(200_000),
+        r#"{"id":"ok","tenant":"t","op":"sample","family":"ghz","n":6,"shots":16,"seed":3}"#
+            .to_string(),
+    ]
+    .join("\n")
+        + "\n";
+    let out = atlas_sim_serve(&["-L", "5", "--workers", "1"], &input);
+    assert_eq!(exit_code(&out), 0, "stderr: {}", stderr(&out));
+    let stdout = stdout(&out);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 5, "one response per line: {stdout}");
+    for (line, needle) in lines[..4]
+        .iter()
+        .zip(["n = 0", "n = 4000000000", "n = 2", "nesting"])
+    {
+        assert!(
+            line.starts_with(r#"{"id":null,"ok":false,"kind":"parse-error""#)
+                && line.contains(needle),
+            "expected an in-band parse error mentioning '{needle}': {line}"
+        );
+    }
+    assert!(
+        lines[4].starts_with(r#"{"id":"ok","ok":true,"op":"sample""#),
+        "the valid job must succeed: {}",
+        lines[4]
     );
 }

@@ -238,7 +238,9 @@ pub fn regression_circuits() -> Vec<Circuit> {
 
 /// Runs the full Atlas pipeline under `cfg` and returns the final state.
 pub fn run_atlas_with(circuit: &Circuit, spec: MachineSpec, cfg: &AtlasConfig) -> StateVector {
-    simulate(circuit, spec, CostModel::default(), cfg, false)
+    Planner::new(spec, CostModel::default(), cfg.clone())
+        .plan(circuit)
+        .and_then(|compiled| compiled.execute(circuit))
         .expect("simulation failed")
         .state
         .expect("functional run returns the state")

@@ -135,9 +135,11 @@ fn intermediate_thread_counts_are_byte_identical() {
             seed: 7,
             ..AtlasConfig::for_validation()
         };
-        let out =
-            simulate(&circuit, spec, CostModel::default(), &cfg, false).expect("simulation failed");
-        let m = out.measurements.expect("functional run");
+        let out = Planner::new(spec, CostModel::default(), cfg)
+            .plan(&circuit)
+            .and_then(|compiled| compiled.execute(&circuit))
+            .expect("simulation failed");
+        let m = out.measurements;
         let expectations = [m.expectation(&z_only), m.expectation(&with_x)].map(f64::to_bits);
         (
             out.state.expect("state"),

@@ -75,10 +75,7 @@ fn all_staging_algorithms_agree_functionally() {
     ] {
         let mut cfg = AtlasConfig::for_validation();
         cfg.staging = algo;
-        let got = simulate(&circuit, spec, CostModel::default(), &cfg, false)
-            .unwrap()
-            .state
-            .unwrap();
+        let got = common::run_atlas_with(&circuit, spec, &cfg);
         assert!(got.max_abs_diff(&want) < 1e-9, "{algo:?} diverged");
     }
 }
@@ -101,10 +98,7 @@ fn all_kernelizers_agree_functionally() {
     ] {
         let mut cfg = AtlasConfig::for_validation();
         cfg.kernelizer = algo;
-        let got = simulate(&circuit, spec, CostModel::default(), &cfg, false)
-            .unwrap()
-            .state
-            .unwrap();
+        let got = common::run_atlas_with(&circuit, spec, &cfg);
         assert!(got.max_abs_diff(&want) < 1e-9, "{algo:?} diverged");
     }
 }

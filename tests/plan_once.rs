@@ -47,22 +47,4 @@ fn n_point_sweep_plans_exactly_once() {
         before_sweep,
         "execute() must never re-stage"
     );
-
-    // The one-shot shim, by contrast, pays planning on every call.
-    let before_shim = staging_invocations();
-    for _ in 0..2 {
-        simulate(
-            &base,
-            spec,
-            CostModel::default(),
-            &AtlasConfig::default(),
-            false,
-        )
-        .unwrap();
-    }
-    assert_eq!(
-        staging_invocations() - before_shim,
-        2,
-        "the simulate() shim plans per call — the sweep API exists for a reason"
-    );
 }

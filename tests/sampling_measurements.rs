@@ -29,13 +29,15 @@ fn measurement_cfg(staging: StagingAlgo, kernelizer: KernelAlgo, threads: usize)
 }
 
 fn run_measurements(circuit: &Circuit, spec: MachineSpec, cfg: &AtlasConfig) -> Measurements {
-    let out = simulate(circuit, spec, CostModel::default(), cfg, false).expect("simulation failed");
+    let out = Planner::new(spec, CostModel::default(), cfg.clone())
+        .plan(circuit)
+        .and_then(|compiled| compiled.execute(circuit))
+        .expect("simulation failed");
     assert!(
         out.state.is_none(),
         "measurement path must not gather the state"
     );
     out.measurements
-        .expect("functional runs carry measurements")
 }
 
 /// Dense-reference Pauli expectation by direct basis-state algebra.
@@ -253,8 +255,11 @@ fn permuted_and_unpermuted_runs_agree() {
     );
     let mut cfg = measurement_cfg(StagingAlgo::IlpSearch, KernelAlgo::Dp, 1);
     cfg.final_unpermute = true;
-    let out = simulate(&circuit, spec, CostModel::default(), &cfg, false).unwrap();
-    let unpermuted = out.measurements.unwrap();
+    let unpermuted = Planner::new(spec, CostModel::default(), cfg)
+        .plan(&circuit)
+        .and_then(|compiled| compiled.execute(&circuit))
+        .unwrap()
+        .measurements;
     for p in pauli_suite(8) {
         assert!((permuted.expectation(&p) - unpermuted.expectation(&p)).abs() < 1e-9);
     }

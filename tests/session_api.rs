@@ -169,6 +169,39 @@ fn compiled_plan_rejects_structurally_different_circuits() {
     assert!(compiled.execute(&base).is_ok());
 }
 
+/// Every engine behind `BackendPlan::run` rejects a structurally
+/// different circuit the same way: a typed `PlanMismatch` that points
+/// at re-planning.
+#[test]
+fn every_backend_rejects_structure_mismatch_the_same_way() {
+    let spec = MachineSpec {
+        nodes: 2,
+        gpus_per_node: 2,
+        local_qubits: 5,
+    };
+    let planner = Planner::new(spec, CostModel::default(), AtlasConfig::default());
+    let mut opens_non_clifford = Circuit::new(8);
+    opens_non_clifford.t(0).cx(0, 1);
+    for (engine, base) in [
+        ("statevec", opens_non_clifford),
+        ("stabilizer", atlas::circuit::generators::clifford(8)),
+        ("hybrid", atlas::circuit::generators::qaoa(8)),
+    ] {
+        let plan = planner.plan_backend(&base).unwrap();
+        assert_eq!(plan.backend_name(), engine);
+        let mut other = base.clone();
+        other.h(7);
+        assert!(!plan.accepts(&other), "{engine}");
+        match plan.run(&other) {
+            Err(AtlasError::PlanMismatch { reason }) => {
+                assert!(reason.contains("re-plan"), "{engine}: {reason}")
+            }
+            other => panic!("{engine}: expected PlanMismatch, got {other:?}"),
+        }
+        assert!(plan.run(&base).is_ok(), "{engine}");
+    }
+}
+
 #[test]
 fn planner_surfaces_typed_errors() {
     let spec = MachineSpec {
@@ -197,38 +230,6 @@ fn planner_surfaces_typed_errors() {
         Err(AtlasError::InvalidConfig { .. }) => {}
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
-}
-
-/// The shim and the session API agree bit-for-bit on the same run.
-#[test]
-fn shim_and_session_agree() {
-    let circuit = atlas::circuit::generators::qaoa(8);
-    let spec = MachineSpec {
-        nodes: 2,
-        gpus_per_node: 2,
-        local_qubits: 5,
-    };
-    let cfg = AtlasConfig {
-        shots: 32,
-        seed: 11,
-        ..AtlasConfig::for_validation()
-    };
-    let shim = simulate(&circuit, spec, CostModel::default(), &cfg, false).unwrap();
-    let compiled = Planner::new(spec, CostModel::default(), cfg)
-        .plan(&circuit)
-        .unwrap();
-    let session = compiled.execute(&circuit).unwrap();
-    let (a, b) = (shim.state.unwrap(), session.state.unwrap());
-    assert!(a
-        .amplitudes()
-        .iter()
-        .zip(b.amplitudes())
-        .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()));
-    assert_eq!(shim.samples.unwrap(), session.samples.unwrap());
-    assert_eq!(
-        shim.plan.final_mapping(false),
-        compiled.plan().final_mapping(false)
-    );
 }
 
 /// `FullPlan::final_mapping` is the single source of truth for the
@@ -323,7 +324,7 @@ fn execute_with_probe_interrupts_or_is_invisible() {
 
     let plain = compiled.execute(&circuit).unwrap();
     let probed = compiled
-        .execute_with(&circuit, &|| false)
+        .execute_with(&circuit, None, &|| false)
         .unwrap()
         .expect("a never-firing probe cannot interrupt");
     assert_eq!(plain.report.total_secs, probed.report.total_secs);
@@ -335,5 +336,8 @@ fn execute_with_probe_interrupts_or_is_invisible() {
     );
 
     // An always-true probe stops EXECUTE at the first barrier.
-    assert!(compiled.execute_with(&circuit, &|| true).unwrap().is_none());
+    assert!(compiled
+        .execute_with(&circuit, None, &|| true)
+        .unwrap()
+        .is_none());
 }

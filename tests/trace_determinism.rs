@@ -35,7 +35,10 @@ fn traced_run(circuit: &Circuit, threads: usize) -> (String, StateVector, Vec<u6
         recorder: recorder.clone(),
         ..AtlasConfig::for_validation()
     };
-    let out = simulate(circuit, spec(), CostModel::default(), &cfg, false).expect("simulate");
+    let out = Planner::new(spec(), CostModel::default(), cfg)
+        .plan(circuit)
+        .and_then(|compiled| compiled.execute(circuit))
+        .expect("plan + execute");
     assert_eq!(recorder.dropped(), 0, "trace overflowed its sink");
     (
         det_signature(&recorder.drain()),
@@ -92,8 +95,10 @@ fn outputs_are_byte_identical_with_tracing_on_and_off() {
         seed: 11,
         ..AtlasConfig::for_validation()
     };
-    let untraced =
-        simulate(&circuit, spec(), CostModel::default(), &untraced_cfg, false).expect("simulate");
+    let untraced = Planner::new(spec(), CostModel::default(), untraced_cfg.clone())
+        .plan(&circuit)
+        .and_then(|compiled| compiled.execute(&circuit))
+        .expect("plan + execute");
     let (_, traced_state, traced_samples) = traced_run(&circuit, 2);
     assert_byte_identical(
         &untraced.state.expect("state"),
@@ -105,17 +110,14 @@ fn outputs_are_byte_identical_with_tracing_on_and_off() {
         traced_samples,
         "samples differ with tracing enabled"
     );
-    let retraced = simulate(
-        &circuit,
-        spec(),
-        CostModel::default(),
-        &AtlasConfig {
-            recorder: Recorder::enabled(),
-            ..untraced_cfg
-        },
-        false,
-    )
-    .expect("simulate");
+    let retraced_cfg = AtlasConfig {
+        recorder: Recorder::enabled(),
+        ..untraced_cfg
+    };
+    let retraced = Planner::new(spec(), CostModel::default(), retraced_cfg)
+        .plan(&circuit)
+        .and_then(|compiled| compiled.execute(&circuit))
+        .expect("plan + execute");
     assert_eq!(
         untraced.report.total_secs.to_bits(),
         retraced.report.total_secs.to_bits(),
